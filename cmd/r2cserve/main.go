@@ -72,7 +72,7 @@ func main() {
 	incidentsOut := flag.String("incidents-out", "", "write the incident timeline (trap/fault/hang/divergence records) as JSON to FILE on exit")
 	listen := flag.String("listen", "", "serve the live ops endpoint (/metrics, /progress, /incidents, /timeseries, /dashboard, /healthz) on ADDR, e.g. :8642")
 	alertRules := flag.String("alert-rules", "", "evaluate the declarative alert rules in FILE at exit (and live on /alerts); windowed functions read the sampled time series; any firing rule fails the run")
-	sampleEvery := flag.Float64("sample-every", 0, "time-series sampling period in simulated seconds (0 = auto ≈ 240 points per run, negative disables); samples feed /timeseries, /dashboard, windowed alerts and -timeseries-out")
+	sampleEvery := flag.Float64("sample-every", 0, "time-series sampling period in simulated seconds (0 = auto ≈ 240 ticks over the expected run, negative disables); at most one tick per request, and a full 512-point ring keeps every other point and doubles its stride, so the rings always cover the whole run; samples feed /timeseries, /dashboard, windowed alerts and -timeseries-out")
 	timeseriesOut := flag.String("timeseries-out", "", "write the sampled time-series rings as JSON to FILE on exit (byte-identical at any -jobs width)")
 	degradeSlot := flag.Int("degrade-slot", 0, "fault injection: variant slot whose service time degrades (with -degrade-growth)")
 	degradeAfter := flag.Int("degrade-after", 0, "fault injection: first request index of the degradation")

@@ -114,9 +114,31 @@ type Engine struct {
 	batchSeq atomic.Uint64
 
 	// seriesMu orders Series sampling (and the cumulative cell counter)
-	// across concurrent RunCells calls.
+	// across concurrent RunCells calls; series holds the handles resolved
+	// from Series on first use.
 	seriesMu  sync.Mutex
 	cellsDone int
+	series    *cellSeries
+}
+
+// cellSeries is the engine sampler's resolved series handles.
+type cellSeries struct {
+	set                     *telemetry.SeriesSet
+	done, p50, p99, meanCyc *telemetry.TimeSeries
+}
+
+// cellSeriesFor returns the handles for set, resolving them once per set.
+func (e *Engine) cellSeriesFor(set *telemetry.SeriesSet) *cellSeries {
+	if e.series == nil || e.series.set != set {
+		e.series = &cellSeries{
+			set:     set,
+			done:    set.Series("exec.cells.done"),
+			p50:     set.Series("exec.run.cycles.p50"),
+			p99:     set.Series("exec.run.cycles.p99"),
+			meanCyc: set.Series("exec.run.cycles.mean"),
+		}
+	}
+	return e.series
 }
 
 // New returns an engine with a fresh cache and a pool of the given width
@@ -282,6 +304,10 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 		cyc = telemetry.NewLogHist(telemetry.CycleScheme)
 	}
 	e.seriesMu.Lock()
+	var hs *cellSeries
+	if e.Series != nil {
+		hs = e.cellSeriesFor(e.Series)
+	}
 	every := e.SampleEvery
 	if every <= 0 {
 		every = 16
@@ -297,16 +323,16 @@ func (e *Engine) RunCells(ctx context.Context, cells []Cell) ([]*vm.Result, erro
 		// rings never see scheduling. Wall-clock series (exec.cell.seconds)
 		// are deliberately not sampled — they would break the byte-identical
 		// -timeseries-out contract.
-		if e.Series != nil {
+		if hs != nil {
 			e.cellsDone++
 			if e.cellsDone%every == 0 {
 				t := float64(e.cellsDone)
 				snap := cyc.Snapshot()
-				e.Series.Sample(t, "exec.cells.done", t)
-				e.Series.Sample(t, "exec.run.cycles.p50", snap.Quantile(0.50))
-				e.Series.Sample(t, "exec.run.cycles.p99", snap.Quantile(0.99))
+				hs.done.Sample(t, t)
+				hs.p50.Sample(t, snap.Quantile(0.50))
+				hs.p99.Sample(t, snap.Quantile(0.99))
 				if snap.Count > 0 {
-					e.Series.Sample(t, "exec.run.cycles.mean", snap.Sum/float64(snap.Count))
+					hs.meanCyc.Sample(t, snap.Sum/float64(snap.Count))
 				}
 			}
 		}

@@ -166,8 +166,10 @@ type Options struct {
 	// SampleEvery is the simulated seconds between time-series ticks. 0
 	// auto-derives ~240 ticks across the expected schedule; < 0 disables
 	// sampling. Ticks live on the simulated clock, so the sampled series
-	// are byte-identical at any -jobs width. SeriesCap bounds each ring
-	// (0 = telemetry.DefaultSeriesCap).
+	// are byte-identical at any -jobs width; the serve loop takes at most
+	// one per request. SeriesCap bounds each ring (0 =
+	// telemetry.DefaultSeriesCap); a full ring decimates, so it always
+	// covers the whole run.
 	SampleEvery float64
 	SeriesCap   int
 
@@ -196,6 +198,10 @@ type slot struct {
 	seed uint64
 	gen  int
 	img  *image.Image
+	// tmpl is img loaded with seed, captured after the BTDP constructor;
+	// every request's process is a clone of it. It is rebuilt wherever img
+	// is (re)installed, and the superseded one is dropped.
+	tmpl *rt.Template
 
 	state    string
 	freeAt   float64 // simulated time the variant is next idle
@@ -235,6 +241,7 @@ const (
 
 type healDone struct {
 	img  *image.Image
+	tmpl *rt.Template
 	seed uint64
 	err  error
 }
@@ -269,8 +276,19 @@ type Fleet struct {
 
 	// series collects the deterministic sim-tick trajectories (/timeseries,
 	// -timeseries-out, windowed alerts). It has its own lock, so the ops
-	// endpoint snapshots it without touching the fleet mutex.
+	// endpoint snapshots it without touching the fleet mutex. sh holds its
+	// handles, resolved once; ticks counts sampleTick calls.
 	series *telemetry.SeriesSet
+	sh     fleetSeries
+	ticks  int
+}
+
+// fleetSeries is the sampler's series handles.
+type fleetSeries struct {
+	served, rps, p50, p99                     *telemetry.TimeSeries
+	quarantines, recoveries, attacks, warning *telemetry.TimeSeries
+	slotsQuarantined                          *telemetry.TimeSeries
+	variant                                   []*telemetry.TimeSeries // by slot id
 }
 
 // New validates the options and prepares a fleet (no builds yet — Serve
@@ -343,6 +361,25 @@ func New(o Options) (*Fleet, error) {
 	return f, nil
 }
 
+// resolveSeries resolves the sampler's series handles, once per Serve.
+func (f *Fleet) resolveSeries() {
+	ss := f.series
+	f.sh = fleetSeries{
+		served:           ss.Series("fleet.served"),
+		rps:              ss.Series("fleet.throughput.rps"),
+		p50:              ss.Series("fleet.sojourn.p50"),
+		p99:              ss.Series("fleet.sojourn.p99"),
+		quarantines:      ss.Series("fleet.quarantines"),
+		recoveries:       ss.Series("fleet.recoveries"),
+		attacks:          ss.Series("fleet.attacks"),
+		warning:          ss.Series("fleet.drift.warnings"),
+		slotsQuarantined: ss.Series("fleet.slots.quarantined"),
+	}
+	for _, s := range f.slots {
+		f.sh.variant = append(f.sh.variant, ss.Series(telemetry.Key("fleet.variant.sojourn", "slot", strconv.Itoa(s.id))))
+	}
+}
+
 // Series exposes the fleet's time-series rings for the ops endpoint and
 // -timeseries-out. Safe to snapshot concurrently with Serve.
 func (f *Fleet) Series() *telemetry.SeriesSet { return f.series }
@@ -398,12 +435,18 @@ func (f *Fleet) buildInitial(ctx context.Context) error {
 			return fmt.Errorf("fleet: initial build: %w", err)
 		}
 	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	f.slots = make([]*slot, o.Variants)
+	slots := make([]*slot, o.Variants)
 	for i, img := range imgs {
-		f.slots[i] = &slot{id: i, seed: o.BaseSeed + uint64(i), img: img, state: stateServing}
+		seed := o.BaseSeed + uint64(i)
+		tmpl, err := sim.NewTemplateFromImage(img, seed)
+		if err != nil {
+			return fmt.Errorf("fleet: variant %d: load: %w", i, err)
+		}
+		slots[i] = &slot{id: i, seed: seed, img: img, tmpl: tmpl, state: stateServing}
 	}
+	f.mu.Lock()
+	f.slots = slots
+	f.mu.Unlock()
 	return nil
 }
 
@@ -423,16 +466,14 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 	// Golden run: the differential property says every benign variant
 	// agrees on output, so one clean run of variant 0 yields both the
 	// ground-truth response and the reference service time.
-	gproc, err := sim.NewProcessFromImage(f.slots[0].img, f.slots[0].seed, o.Obs)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: golden load: %w", err)
-	}
+	gproc := f.slots[0].tmpl.Clone(o.Obs)
 	gres, err := sim.ExecProcessCtx(ctx, gproc, o.Prof, o.Obs, o.RequestFuel)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: golden run: %w", err)
 	}
 	f.golden = append([]uint64(nil), gres.Output...)
 	f.goldenS = gres.Seconds(o.Prof)
+	gproc.Release()
 
 	if o.Attack.active(o.Attack.Start) { // attack configured: resolve once to fail fast
 		if _, err := resolveWrites(o.Attack, f.slots[0].img); err != nil {
@@ -454,15 +495,22 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 		// enough that degraded capacity is visible in the tail latency.
 		rebuildLat = 20 * f.goldenS
 	}
-	// Time-series tick cadence: ticks live on the simulated clock, emitted
-	// from the serve loop right after it advances, so every sampled value is
-	// a deterministic function of the schedule — never of -jobs width.
+	// Time-series tick cadence: ticks live on a grid on the simulated clock
+	// (tick k at k*tickEvery), emitted from the serve loop right after it
+	// advances, so every sampled value is a deterministic function of the
+	// schedule — never of -jobs width. Each loop iteration takes at most
+	// one tick, the latest grid tick the clock has passed: sampling work is
+	// bounded by requests served, however far a degraded variant stretches
+	// simulated time, and the decimating rings keep the whole run.
 	tickEvery := o.SampleEvery
 	if tickEvery == 0 {
 		// Auto: ~240 ticks across the expected makespan (sparkline density).
 		tickEvery = float64(o.Requests) / rate / 240
 	}
-	nextTick := tickEvery
+	lastTick := 0.0
+	if tickEvery > 0 {
+		f.resolveSeries()
+	}
 
 	arrivals := rng.New(o.BaseSeed ^ 0xf1ee7a27c0ffee42)
 	// With an observer the histograms live in its registry (exported via
@@ -520,9 +568,11 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 		if err := f.serveRequest(ctx, i, chosen, arrival, start, rebuildLat, sojournH, serviceH); err != nil {
 			return nil, err
 		}
-		for tickEvery > 0 && nextTick <= f.simClock {
-			f.sampleTick(nextTick, sojournH)
-			nextTick += tickEvery
+		if tickEvery > 0 {
+			if k := math.Floor(f.simClock / tickEvery); k > lastTick {
+				lastTick = k
+				f.sampleTick(k*tickEvery, sojournH)
+			}
 		}
 	}
 	if tickEvery > 0 {
@@ -579,27 +629,29 @@ func (f *Fleet) Serve(ctx context.Context) (*Report, error) {
 // latency, cache economy) are deliberately absent: they belong to the live
 // /metrics view, not to a deterministic artifact.
 func (f *Fleet) sampleTick(t float64, sojournH *telemetry.LogHist) {
-	f.series.Sample(t, "fleet.served", float64(f.served))
+	f.ticks++
+	sh := &f.sh
+	sh.served.Sample(t, float64(f.served))
 	if t > 0 {
-		f.series.Sample(t, "fleet.throughput.rps", float64(f.served)/t)
+		sh.rps.Sample(t, float64(f.served)/t)
 	}
 	snap := sojournH.Snapshot()
-	f.series.Sample(t, "fleet.sojourn.p50", snap.Quantile(0.50))
-	f.series.Sample(t, "fleet.sojourn.p99", snap.Quantile(0.99))
-	f.series.Sample(t, "fleet.quarantines", float64(f.quarantines))
-	f.series.Sample(t, "fleet.recoveries", float64(f.recoveries))
-	f.series.Sample(t, "fleet.attacks", float64(f.rep.Sim.AttackRequests))
-	f.series.Sample(t, "fleet.drift.warnings", float64(f.rep.Sim.DriftWarnings))
+	sh.p50.Sample(t, snap.Quantile(0.50))
+	sh.p99.Sample(t, snap.Quantile(0.99))
+	sh.quarantines.Sample(t, float64(f.quarantines))
+	sh.recoveries.Sample(t, float64(f.recoveries))
+	sh.attacks.Sample(t, float64(f.rep.Sim.AttackRequests))
+	sh.warning.Sample(t, float64(f.rep.Sim.DriftWarnings))
 	quar := 0
 	for _, s := range f.slots {
 		if s.state == stateQuarantined {
 			quar++
 		}
 	}
-	f.series.Sample(t, "fleet.slots.quarantined", float64(quar))
+	sh.slotsQuarantined.Sample(t, float64(quar))
 	for _, s := range f.slots {
 		if s.lastSvc > 0 {
-			f.series.Sample(t, telemetry.Key("fleet.variant.sojourn", "slot", strconv.Itoa(s.id)), s.lastSvc)
+			sh.variant[s.id].Sample(t, s.lastSvc)
 		}
 	}
 }
@@ -734,12 +786,15 @@ func (f *Fleet) serveRequest(ctx context.Context, i int, chosen []*slot, arrival
 	attacked := o.Attack.active(i)
 	procs := make([]*rt.Process, len(chosen))
 	for j, s := range chosen {
-		p, err := sim.NewProcessFromImage(s.img, s.seed, o.Obs)
-		if err != nil {
-			return fmt.Errorf("fleet: request %d: load variant %d: %w", i, s.id, err)
-		}
-		procs[j] = p
+		procs[j] = s.tmpl.Clone(o.Obs)
 	}
+	// Nothing outlives the request: its processes go back to their slots'
+	// templates, whose next clones reuse their storage.
+	defer func() {
+		for _, p := range procs {
+			p.Release()
+		}
+	}()
 
 	var writes []write
 	if attacked {
@@ -1000,15 +1055,21 @@ func (f *Fleet) quarantine(s *slot, t, rebuildLat float64) {
 		f.nextSeed++
 		img, oldSeed := s.img, s.seed
 		go func(ch chan healDone) {
-			err := rerollImage(img, seed)
-			ch <- healDone{img: img, seed: oldSeed, err: err}
+			hd := healDone{img: img, seed: oldSeed}
+			if hd.err = rerollImage(img, seed); hd.err == nil {
+				hd.tmpl, hd.err = sim.NewTemplateFromImage(img, oldSeed)
+			}
+			ch <- hd
 		}(s.heal)
 	default:
 		seed := f.nextSeed
 		f.nextSeed++
 		go func(ch chan healDone) {
-			img, _, err := o.Eng.Image(o.Module, o.Cfg, seed)
-			ch <- healDone{img: img, seed: seed, err: err}
+			hd := healDone{seed: seed}
+			if hd.img, _, hd.err = o.Eng.Image(o.Module, o.Cfg, seed); hd.err == nil {
+				hd.tmpl, hd.err = sim.NewTemplateFromImage(hd.img, seed)
+			}
+			ch <- hd
 		}(s.heal)
 	}
 }
@@ -1033,7 +1094,7 @@ func (f *Fleet) rejoinDue(t, rebuildLat float64, replaceH *telemetry.LogHist) er
 			f.o.Obs.Emit("fleet-heal-failed", map[string]any{"slot": s.id, "error": hd.err.Error()})
 			continue
 		}
-		s.img, s.seed = hd.img, hd.seed
+		s.img, s.tmpl, s.seed = hd.img, hd.tmpl, hd.seed
 		s.gen++
 		s.state = stateServing
 		s.freeAt = s.rejoinAt
@@ -1094,11 +1155,12 @@ func resolveWrites(s Schedule, img *image.Image) ([]write, error) {
 }
 
 // rerollImage re-randomizes the image's BTRA artifacts in place and
-// persists them, so every process loaded from the image afterwards executes
-// the rerolled values: push-mode immediates live in the (predecoded)
-// instruction stream, which RerollBTRAs rewrites directly, while AVX-array
-// decoy words live in the data section and are copied back into the image's
-// initializer from the scratch process RerollBTRAs rewrote.
+// persists them, so every process loaded from the image afterwards — the
+// slot's rebuilt template included — executes the rerolled values:
+// push-mode immediates live in the (predecoded) instruction stream, which
+// RerollBTRAs rewrites directly, while AVX-array decoy words live in the
+// data section and are copied back into the image's initializer from the
+// scratch process RerollBTRAs rewrote.
 func rerollImage(img *image.Image, seed uint64) error {
 	proc, err := rt.NewProcess(img, seed)
 	if err != nil {

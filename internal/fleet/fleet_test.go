@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,8 @@ import (
 	"r2c/internal/defense"
 	"r2c/internal/exec"
 	"r2c/internal/incident"
+	"r2c/internal/rt"
+	"r2c/internal/sim"
 	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 	"r2c/internal/vm"
@@ -354,5 +357,113 @@ func TestRerollHealKeepsLeakedAddressesValid(t *testing.T) {
 	}
 	if rebuild.Sim.SilentCorruptions != 0 || reroll.Sim.SilentCorruptions != 0 {
 		t.Fatal("supervised runs must not pass corrupted output")
+	}
+}
+
+// TestSamplerBoundedUnderDegrade pins the sampler's resource bound: however
+// far a degraded variant stretches simulated time, the serve loop takes at
+// most one tick per request plus the final one, and the decimating rings
+// still cover the whole run — every series within SeriesCap points, in time
+// order, starting near the beginning and ending at the makespan.
+func TestSamplerBoundedUnderDegrade(t *testing.T) {
+	for _, growth := range []float64{1.3, 2.0} {
+		o := webOptions(0)
+		o.Degrade = Degrade{Slot: 0, After: 5, Growth: growth}
+		fl, err := New(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := fl.Serve(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fl.ticks > o.Requests+1 {
+			t.Errorf("growth %g: %d sample ticks for %d requests", growth, fl.ticks, o.Requests)
+		}
+		snap := fl.Series().Snapshot(nil, 0)
+		if snap.Now != rep.Sim.MakespanSeconds {
+			t.Errorf("growth %g: series end at %g, makespan %g", growth, snap.Now, rep.Sim.MakespanSeconds)
+		}
+		for _, sd := range snap.Series {
+			pts := sd.Points
+			if len(pts) > telemetry.DefaultSeriesCap {
+				t.Errorf("growth %g: %s holds %d points, cap %d", growth, sd.Name, len(pts), telemetry.DefaultSeriesCap)
+			}
+			for i := 1; i < len(pts); i++ {
+				if pts[i][0] < pts[i-1][0] {
+					t.Errorf("growth %g: %s goes back in time at point %d", growth, sd.Name, i)
+					break
+				}
+			}
+			if pts[0][0] >= 0.02*snap.Now {
+				t.Errorf("growth %g: %s starts at %g, after 2%% of %g", growth, sd.Name, pts[0][0], snap.Now)
+			}
+			if last := pts[len(pts)-1][0]; last != snap.Now {
+				t.Errorf("growth %g: %s ends at %g, not at the makespan %g", growth, sd.Name, last, snap.Now)
+			}
+		}
+	}
+}
+
+// TestRerollTemplateMatchesFreshProcess: after a reroll heal rewrites the
+// image in place, the slot's rebuilt template clones exactly the process a
+// fresh load of the rerolled image gives.
+func TestRerollTemplateMatchesFreshProcess(t *testing.T) {
+	o := webOptions(0)
+	o.Heal = HealReroll
+	fl, err := New(o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fl.buildInitial(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	fl.rep = &Report{}
+	s := fl.slots[1]
+	before := s.tmpl.Clone(nil)
+	fl.quarantine(s, 1.0, 0.5)
+	if err := fl.rejoinDue(2.0, 0.5, telemetry.NewLogHist(telemetry.LatencyScheme)); err != nil {
+		t.Fatal(err)
+	}
+	if s.state != stateServing || s.gen != 1 {
+		t.Fatalf("slot did not rejoin after the reroll: state %s gen %d", s.state, s.gen)
+	}
+	run := func(p *rt.Process) *vm.Result {
+		t.Helper()
+		res, err := sim.ExecProcess(p, o.Prof, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	fresh, err := sim.NewProcessFromImage(s.img, s.seed, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clone := s.tmpl.Clone(nil)
+	// The reroll rewrote the AVX-array decoy words in the data section: the
+	// clone must carry the new ones, which differ from the old template's.
+	changed := false
+	for _, b := range s.img.Prog.Blobs {
+		ds := s.img.DataSyms[b.Name]
+		for i, w := range b.Words {
+			if !w.BTRA {
+				continue
+			}
+			addr := ds.Addr + uint64(i)*8
+			old, _ := before.Space.Read64(addr)
+			got, _ := clone.Space.Read64(addr)
+			want, _ := fresh.Space.Read64(addr)
+			if got != want {
+				t.Fatalf("clone holds decoy %#x at %#x, a fresh load %#x", got, addr, want)
+			}
+			changed = changed || old != want
+		}
+	}
+	if !changed {
+		t.Fatal("reroll left every BTRA decoy word in place")
+	}
+	if got, want := run(clone), run(fresh); !reflect.DeepEqual(got, want) {
+		t.Fatalf("clone of the rerolled template differs from a fresh load:\nclone %+v\nfresh %+v", got, want)
 	}
 }

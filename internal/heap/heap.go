@@ -19,6 +19,7 @@ package heap
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"r2c/internal/mem"
@@ -37,10 +38,17 @@ type Allocator struct {
 	brk   uint64 // next fresh address
 	rnd   *rng.RNG
 
-	allocs map[uint64]uint64 // addr -> size of live allocations
-	free   []span            // sorted, coalesced free spans below brk
-	pages  map[uint64]int    // page number -> live allocation refcount
+	allocs []span   // live allocations, sorted by address
+	free   []span   // sorted, coalesced free spans below brk
+	refs   []uint16 // live allocations per page, indexed from base's page up to brk; at most PageSize/MinAlign+2 chunks touch a page
+	// shared marks allocs, free and refs as shared with the allocator this
+	// one was cloned from: the first mutation copies them into store, the
+	// storage a CloneTo kept from the allocator's previous contents (see
+	// own).
+	shared bool
+	store  tables
 
+	livePages  int
 	liveBytes  uint64
 	totalAlloc uint64
 	numAllocs  uint64
@@ -48,6 +56,12 @@ type Allocator struct {
 }
 
 type span struct{ addr, size uint64 }
+
+// tables is an allocator's bookkeeping storage.
+type tables struct {
+	allocs, free []span
+	refs         []uint16
+}
 
 // New creates an allocator over [base, limit). base must be page-aligned.
 func New(space *mem.Space, base, limit uint64, r *rng.RNG) (*Allocator, error) {
@@ -58,14 +72,43 @@ func New(space *mem.Space, base, limit uint64, r *rng.RNG) (*Allocator, error) {
 		return nil, fmt.Errorf("heap: empty region [%#x,%#x)", base, limit)
 	}
 	return &Allocator{
-		space:  space,
-		base:   base,
-		limit:  limit,
-		brk:    base,
-		rnd:    r,
-		allocs: make(map[uint64]uint64),
-		pages:  make(map[uint64]int),
+		space: space,
+		base:  base,
+		limit: limit,
+		brk:   base,
+		rnd:   r,
 	}, nil
+}
+
+// CloneTo makes dst a copy of a over space (a copy of a's space, see
+// mem.Space.CloneTo): the RNG state is copied, and the bookkeeping tables
+// stay shared with a until dst first mutates them. a itself must not mutate
+// afterwards, so clone only an allocator nothing uses any more (a process
+// template's). dst's previous contents are discarded and its storage
+// reused.
+func (a *Allocator) CloneTo(dst *Allocator, space *mem.Space) {
+	st, r := dst.store, dst.rnd
+	if !dst.shared {
+		st = tables{dst.allocs, dst.free, dst.refs}
+	}
+	if r == nil {
+		r = new(rng.RNG)
+	}
+	*r = *a.rnd
+	*dst = *a
+	dst.space, dst.rnd, dst.shared, dst.store = space, r, true, st
+}
+
+// own gives the allocator private copies of its bookkeeping before a
+// mutation, if they are still shared with the allocator it was cloned from.
+func (a *Allocator) own() {
+	if !a.shared {
+		return
+	}
+	a.allocs = append(a.store.allocs[:0], a.allocs...)
+	a.free = append(a.store.free[:0], a.free...)
+	a.refs = append(a.store.refs[:0], a.refs...)
+	a.shared, a.store = false, tables{}
 }
 
 // Alloc returns a 16-byte aligned chunk of at least size bytes.
@@ -83,6 +126,7 @@ func (a *Allocator) AllocAligned(size, align uint64) (uint64, error) {
 		return 0, fmt.Errorf("heap: bad alignment %d", align)
 	}
 	size = mem.AlignUp(size, MinAlign)
+	a.own()
 
 	// First try the free list. To scatter allocations, pick uniformly among
 	// all fitting spans instead of first-fit.
@@ -108,30 +152,40 @@ func (a *Allocator) AllocAligned(size, align uint64) (uint64, error) {
 }
 
 func (a *Allocator) takeFromFreeList(size, align uint64) (uint64, bool) {
-	type fit struct {
-		idx  int
-		addr uint64
-	}
-	var fits []fit
-	for i, s := range a.free {
+	fits := func(s span) (uint64, bool) {
 		start := mem.AlignUp(s.addr, align)
-		if start+size <= s.addr+s.size {
-			fits = append(fits, fit{i, start})
+		return start, start+size <= s.addr+s.size
+	}
+	n := 0
+	for _, s := range a.free {
+		if _, ok := fits(s); ok {
+			n++
 		}
 	}
-	if len(fits) == 0 {
+	if n == 0 {
 		return 0, false
 	}
-	f := fits[a.rnd.Intn(len(fits))]
-	s := a.free[f.idx]
-	a.free = append(a.free[:f.idx], a.free[f.idx+1:]...)
-	if f.addr > s.addr {
-		a.insertFree(span{s.addr, f.addr - s.addr})
+	// Pick the k-th fitting span, counting in address order.
+	k := a.rnd.Intn(n)
+	idx, addr := 0, uint64(0)
+	for i, s := range a.free {
+		if start, ok := fits(s); ok {
+			if k == 0 {
+				idx, addr = i, start
+				break
+			}
+			k--
+		}
 	}
-	if rest := (s.addr + s.size) - (f.addr + size); rest > 0 {
-		a.insertFree(span{f.addr + size, rest})
+	s := a.free[idx]
+	a.free = append(a.free[:idx], a.free[idx+1:]...)
+	if addr > s.addr {
+		a.insertFree(span{s.addr, addr - s.addr})
 	}
-	return f.addr, true
+	if rest := (s.addr + s.size) - (addr + size); rest > 0 {
+		a.insertFree(span{addr + size, rest})
+	}
+	return addr, true
 }
 
 func (a *Allocator) insertFree(s span) {
@@ -153,44 +207,61 @@ func (a *Allocator) insertFree(s span) {
 	}
 }
 
+// find returns the index of the first live allocation at or above addr.
+func (a *Allocator) find(addr uint64) int {
+	return sort.Search(len(a.allocs), func(i int) bool { return a.allocs[i].addr >= addr })
+}
+
 // commit records the allocation and maps any pages it newly touches.
 func (a *Allocator) commit(addr, size uint64) {
-	a.allocs[addr] = size
+	a.allocs = slices.Insert(a.allocs, a.find(addr), span{addr, size})
 	a.liveBytes += size
 	a.totalAlloc += size
 	a.numAllocs++
-	first := addr >> mem.PageShift
-	last := (addr + size - 1) >> mem.PageShift
+	first := (addr - a.base) >> mem.PageShift
+	last := (addr + size - 1 - a.base) >> mem.PageShift
+	if n := int(last) + 1; n > len(a.refs) {
+		a.refs = append(a.refs, make([]uint16, n-len(a.refs))...)
+	}
 	for p := first; p <= last; p++ {
-		a.pages[p]++
-		if a.pages[p] == 1 {
+		a.refs[p]++
+		if a.refs[p] == 1 {
 			// Fresh page: map it RW. Map cannot fail here because the
 			// refcount says it is unmapped and the region is exclusive.
-			if err := a.space.Map(p<<mem.PageShift, mem.PageSize, mem.PermRW); err != nil {
+			a.livePages++
+			if err := a.space.Map(a.base+p<<mem.PageShift, mem.PageSize, mem.PermRW); err != nil {
 				panic(fmt.Sprintf("heap: internal map failure: %v", err))
 			}
 		}
 	}
 }
 
+// lookup returns the index of the live allocation starting at addr.
+func (a *Allocator) lookup(addr uint64) (int, bool) {
+	i := a.find(addr)
+	return i, i < len(a.allocs) && a.allocs[i].addr == addr
+}
+
 // Free releases the chunk at addr. Freeing an unknown address is an error
 // (the simulated program is supposed to be memory-safe; attacker corruption
 // happens through the attack API, not through Free).
 func (a *Allocator) Free(addr uint64) error {
-	size, ok := a.allocs[addr]
+	i, ok := a.lookup(addr)
 	if !ok {
 		return fmt.Errorf("heap: free of unknown chunk %#x", addr)
 	}
-	delete(a.allocs, addr)
+	a.own()
+	size := a.allocs[i].size
+	a.allocs = slices.Delete(a.allocs, i, i+1)
 	a.liveBytes -= size
 	a.numFrees++
-	first := addr >> mem.PageShift
-	last := (addr + size - 1) >> mem.PageShift
+	first := (addr - a.base) >> mem.PageShift
+	last := (addr + size - 1 - a.base) >> mem.PageShift
 	for p := first; p <= last; p++ {
-		a.pages[p]--
-		if a.pages[p] == 0 {
-			delete(a.pages, p)
-			if err := a.space.Unmap(p<<mem.PageShift, mem.PageSize); err != nil {
+		a.refs[p]--
+		if a.refs[p] == 0 {
+			a.livePages--
+			if err := a.space.Unmap(a.base+p<<mem.PageShift, mem.PageSize); err != nil {
 				panic(fmt.Sprintf("heap: internal unmap failure: %v", err))
 			}
 		}
@@ -203,10 +274,11 @@ func (a *Allocator) Free(addr uint64) error {
 // addr. The BTDP constructor calls this with PermNone on page-aligned,
 // page-sized chunks to create guard pages.
 func (a *Allocator) Protect(addr uint64, perm mem.Perm) error {
-	size, ok := a.allocs[addr]
+	i, ok := a.lookup(addr)
 	if !ok {
 		return fmt.Errorf("heap: protect of unknown chunk %#x", addr)
 	}
+	size := a.allocs[i].size
 	start := mem.AlignUp(addr, mem.PageSize)
 	end := mem.AlignDown(addr+size, mem.PageSize)
 	if end <= start {
@@ -217,20 +289,18 @@ func (a *Allocator) Protect(addr uint64, perm mem.Perm) error {
 
 // SizeOf returns the size of the live chunk at addr.
 func (a *Allocator) SizeOf(addr uint64) (uint64, bool) {
-	s, ok := a.allocs[addr]
-	return s, ok
+	if i, ok := a.lookup(addr); ok {
+		return a.allocs[i].size, true
+	}
+	return 0, false
 }
 
 // Contains reports whether addr falls inside any live allocation.
 func (a *Allocator) Contains(addr uint64) bool {
-	// Linear probe over allocations is fine at simulation scale; tests and
-	// the attacker use it, the hot path (Alloc/Free) does not.
-	for base, size := range a.allocs {
-		if addr >= base && addr < base+size {
-			return true
-		}
-	}
-	return false
+	// Live allocations never overlap: only the last one starting at or
+	// below addr can contain it.
+	i := a.find(addr + 1)
+	return i > 0 && addr < a.allocs[i-1].addr+a.allocs[i-1].size
 }
 
 // Bounds returns the heap region [base, brk) currently in use.
@@ -249,7 +319,7 @@ type Stats struct {
 func (a *Allocator) Stats() Stats {
 	return Stats{
 		LiveBytes:  a.liveBytes,
-		LivePages:  len(a.pages),
+		LivePages:  a.livePages,
 		TotalAlloc: a.totalAlloc,
 		NumAllocs:  a.numAllocs,
 		NumFrees:   a.numFrees,
@@ -265,7 +335,7 @@ func (a *Allocator) PublishMetrics(reg *telemetry.Registry) {
 		return
 	}
 	reg.Gauge("heap.live_bytes").Set(float64(a.liveBytes))
-	reg.Gauge("heap.live_pages").Set(float64(len(a.pages)))
+	reg.Gauge("heap.live_pages").Set(float64(a.livePages))
 	reg.Gauge("heap.total_alloc_bytes").Set(float64(a.totalAlloc))
 	reg.Gauge("heap.allocs").Set(float64(a.numAllocs))
 	reg.Gauge("heap.frees").Set(float64(a.numFrees))

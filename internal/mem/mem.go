@@ -3,8 +3,9 @@
 // allocates heap and stack from it, the VM fetches and executes code out of
 // it, and the attacker leaks and corrupts it.
 //
-// The model is a sparse map of 4 KiB pages, each with independent R/W/X
-// permissions. Two permission combinations matter for the paper:
+// The model is a set of dense page tables of 4 KiB pages, each page with
+// independent R/W/X permissions. Two permission combinations matter for the
+// paper:
 //
 //   - execute-only text (X without R), the leakage-resilience prerequisite
 //     R2C assumes (Section 3): instruction fetch succeeds, data reads fault;
@@ -17,6 +18,7 @@ package mem
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -109,14 +111,42 @@ func (f *Fault) Error() string {
 	return fmt.Sprintf("segfault: %s of %#x violates page permission %s", f.Access, f.Addr, f.Perm)
 }
 
+// page is one page-table entry; the zero value is an unmapped page.
 type page struct {
-	perm Perm
-	data []byte // lazily allocated on first write
+	data   *[PageSize]byte // nil until first touched: reads see zeros
+	perm   Perm
+	mapped bool
+	// shared marks data as shared copy-on-write with another Space (see
+	// CloneTo): the first write through this entry copies it out first.
+	shared bool
 }
 
-// Space is a sparse simulated address space.
+// zeroPage backs reads of mapped pages nothing has written yet.
+var zeroPage [PageSize]byte
+
+// region is a dense run of page-table entries starting at page number first.
+// Unmapped pages inside the run are zero entries, so a region's table is
+// sized to its highest mapped page, not to the address range it may grow
+// into (the heap reserves gigabytes but maps up to its brk).
+type region struct {
+	first uint64
+	pages []page
+}
+
+// regionGap is how many unmapped pages a region's table may span to reach a
+// newly mapped page before a separate region is started.
+const regionGap = 64
+
+// Space is a simulated address space: a handful of dense per-region page
+// tables (text, data, heap, stack), found by a short linear scan.
 type Space struct {
-	pages map[uint64]*page // keyed by page number (addr >> PageShift)
+	regions []region // sorted by first, non-overlapping
+	// table is the storage CloneTo carves the regions of a copy from, and
+	// spare holds private page buffers taken back from unmapped pages and
+	// from the space's previous contents; first writes draw from spare
+	// before allocating.
+	table []page
+	spare []*[PageSize]byte
 
 	// RSS accounting (Section 6.2.5 reproduces both the maxrss and the
 	// sampled-RSS methodology). A page counts toward RSS once mapped.
@@ -126,7 +156,92 @@ type Space struct {
 
 // NewSpace returns an empty address space.
 func NewSpace() *Space {
-	return &Space{pages: make(map[uint64]*page)}
+	return &Space{}
+}
+
+// CloneTo makes dst a copy-on-write copy of s: the page tables are copied
+// flat and page bytes are shared until either space writes them. dst's
+// previous contents are discarded, so nothing may still use dst or a slab
+// it returned; its storage is reused, the page-table memory for the copy's
+// tables and its private page buffers for the copy's first writes.
+//
+// CloneTo marks s's pages shared too — a no-op once they are — so
+// concurrent CloneTos from a space nobody writes any more (a process
+// template) are safe. Cloning a space a running VM caches slabs of is not:
+// its next write would move the page.
+func (s *Space) CloneTo(dst *Space) {
+	spare, total := dst.spare, 0
+	for _, r := range dst.regions {
+		for i := range r.pages {
+			if p := &r.pages[i]; p.data != nil && !p.shared {
+				spare = append(spare, p.data)
+			}
+		}
+	}
+	for _, r := range s.regions {
+		total += len(r.pages)
+	}
+	table := dst.table
+	if cap(table) < total {
+		table = make([]page, total)
+	}
+	*dst = Space{regions: dst.regions[:0], table: table, spare: spare, rssPages: s.rssPages, maxRSSPages: s.maxRSSPages}
+	off := 0
+	for _, r := range s.regions {
+		for j := range r.pages {
+			if p := &r.pages[j]; p.data != nil && !p.shared {
+				p.shared = true
+			}
+		}
+		// A full slice expression, so a region that grows reallocates
+		// instead of running into the next one.
+		n := len(r.pages)
+		pages := table[off : off+n : off+n]
+		copy(pages, r.pages)
+		dst.regions = append(dst.regions, region{first: r.first, pages: pages})
+		off += n
+	}
+}
+
+// entry returns the mapped page numbered pn, or nil.
+func (s *Space) entry(pn uint64) *page {
+	for i := range s.regions {
+		r := &s.regions[i]
+		if off := pn - r.first; off < uint64(len(r.pages)) {
+			if p := &r.pages[off]; p.mapped {
+				return p
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+// span returns the table entries for pages [pn, pn+n), growing the region
+// that reaches pn (or starting a new one) and merging any region the grown
+// table runs into.
+func (s *Space) span(pn, n uint64) []page {
+	i := sort.Search(len(s.regions), func(i int) bool { return s.regions[i].first > pn }) - 1
+	if i < 0 || pn > s.regions[i].first+uint64(len(s.regions[i].pages))+regionGap {
+		i++
+		s.regions = slices.Insert(s.regions, i, region{first: pn})
+	}
+	end := pn + n
+	for i+1 < len(s.regions) && s.regions[i+1].first < end {
+		next := s.regions[i+1]
+		s.regions[i].grow(next.first)
+		s.regions[i].pages = append(s.regions[i].pages, next.pages...)
+		s.regions = slices.Delete(s.regions, i+1, i+2)
+	}
+	r := &s.regions[i]
+	r.grow(end)
+	return r.pages[pn-r.first : end-r.first]
+}
+
+func (r *region) grow(end uint64) {
+	if have := r.first + uint64(len(r.pages)); end > have {
+		r.pages = append(r.pages, make([]page, end-have)...)
+	}
 }
 
 // Map creates pages covering [addr, addr+size) with the given permissions.
@@ -138,12 +253,16 @@ func (s *Space) Map(addr, size uint64, perm Perm) error {
 	}
 	first, n := addr>>PageShift, size>>PageShift
 	for i := uint64(0); i < n; i++ {
-		if _, dup := s.pages[first+i]; dup {
+		if s.entry(first+i) != nil {
 			return fmt.Errorf("mem: page %#x already mapped", (first+i)<<PageShift)
 		}
 	}
-	for i := uint64(0); i < n; i++ {
-		s.pages[first+i] = &page{perm: perm}
+	if n == 0 {
+		return nil
+	}
+	ps := s.span(first, n)
+	for i := range ps {
+		ps[i] = page{perm: perm, mapped: true}
 	}
 	s.rssPages += int(n)
 	if s.rssPages > s.maxRSSPages {
@@ -159,12 +278,27 @@ func (s *Space) Unmap(addr, size uint64) error {
 	}
 	first, n := addr>>PageShift, size>>PageShift
 	for i := uint64(0); i < n; i++ {
-		if _, ok := s.pages[first+i]; !ok {
+		if s.entry(first+i) == nil {
 			return fmt.Errorf("mem: unmap of unmapped page %#x", (first+i)<<PageShift)
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		delete(s.pages, first+i)
+		p := s.entry(first + i)
+		if p.data != nil && !p.shared {
+			s.spare = append(s.spare, p.data)
+		}
+		*p = page{}
+	}
+	// Trim unmapped tails so each table stays sized to its highest mapped
+	// page; a region left empty is dropped.
+	for i := len(s.regions) - 1; i >= 0; i-- {
+		r := &s.regions[i]
+		for len(r.pages) > 0 && !r.pages[len(r.pages)-1].mapped {
+			r.pages = r.pages[:len(r.pages)-1]
+		}
+		if len(r.pages) == 0 {
+			s.regions = slices.Delete(s.regions, i, i+1)
+		}
 	}
 	s.rssPages -= int(n)
 	return nil
@@ -179,34 +313,33 @@ func (s *Space) Protect(addr, size uint64, perm Perm) error {
 	}
 	first, n := addr>>PageShift, size>>PageShift
 	for i := uint64(0); i < n; i++ {
-		if _, ok := s.pages[first+i]; !ok {
+		if s.entry(first+i) == nil {
 			return fmt.Errorf("mem: protect of unmapped page %#x", (first+i)<<PageShift)
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		s.pages[first+i].perm = perm
+		s.entry(first + i).perm = perm
 	}
 	return nil
 }
 
 // IsMapped reports whether addr falls on a mapped page.
 func (s *Space) IsMapped(addr uint64) bool {
-	_, ok := s.pages[addr>>PageShift]
-	return ok
+	return s.entry(addr>>PageShift) != nil
 }
 
 // PermAt returns the permissions of the page containing addr.
 func (s *Space) PermAt(addr uint64) (Perm, bool) {
-	p, ok := s.pages[addr>>PageShift]
-	if !ok {
+	p := s.entry(addr >> PageShift)
+	if p == nil {
 		return 0, false
 	}
 	return p.perm, true
 }
 
 func (s *Space) check(addr uint64, access AccessKind) (*page, error) {
-	p, ok := s.pages[addr>>PageShift]
-	if !ok {
+	p := s.entry(addr >> PageShift)
+	if p == nil {
 		return nil, &Fault{Addr: addr, Access: access, Unmapped: true}
 	}
 	var need Perm
@@ -224,11 +357,35 @@ func (s *Space) check(addr uint64, access AccessKind) (*page, error) {
 	return p, nil
 }
 
-func (p *page) ensure() []byte {
+// read returns the page's bytes for reading, without allocating.
+func (p *page) read() *[PageSize]byte {
 	if p.data == nil {
-		p.data = make([]byte, PageSize)
+		return &zeroPage
 	}
 	return p.data
+}
+
+// writable returns the page's bytes for writing: a page shared
+// copy-on-write is copied out first, and an untouched page is allocated.
+func (s *Space) writable(p *page) *[PageSize]byte {
+	if p.data != nil && !p.shared {
+		return p.data
+	}
+	var d *[PageSize]byte
+	if n := len(s.spare); n > 0 {
+		d = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+		if p.data == nil {
+			*d = [PageSize]byte{}
+		}
+	} else {
+		d = new([PageSize]byte)
+	}
+	if p.data != nil {
+		*d = *p.data
+	}
+	p.data, p.shared = d, false
+	return d
 }
 
 // Read copies len(buf) bytes starting at addr into buf, honoring page
@@ -253,11 +410,10 @@ func (s *Space) access(addr uint64, buf []byte, kind AccessKind) error {
 		if rem := len(buf) - done; n > rem {
 			n = rem
 		}
-		data := p.ensure()
 		if kind == AccessWrite {
-			copy(data[off:off+n], buf[done:done+n])
+			copy(s.writable(p)[off:off+n], buf[done:done+n])
 		} else {
-			copy(buf[done:done+n], data[off:off+n])
+			copy(buf[done:done+n], p.read()[off:off+n])
 		}
 		done += n
 		addr += uint64(n)
@@ -291,8 +447,8 @@ func (s *Space) CheckExec(addr uint64) error {
 // and human-readable dumps only; neither the VM nor the attacker uses it.
 func (s *Space) DebugRead(addr uint64, buf []byte) error {
 	for done := 0; done < len(buf); {
-		p, ok := s.pages[addr>>PageShift]
-		if !ok {
+		p := s.entry(addr >> PageShift)
+		if p == nil {
 			return &Fault{Addr: addr, Access: AccessRead, Unmapped: true}
 		}
 		off := int(addr & PageMask)
@@ -300,7 +456,7 @@ func (s *Space) DebugRead(addr uint64, buf []byte) error {
 		if rem := len(buf) - done; n > rem {
 			n = rem
 		}
-		copy(buf[done:done+n], p.ensure()[off:off+n])
+		copy(buf[done:done+n], p.read()[off:off+n])
 		done += n
 		addr += uint64(n)
 	}
@@ -318,14 +474,16 @@ func (s *Space) DebugRead64(addr uint64) (uint64, error) {
 
 // Slab exposes the backing bytes and permission of the page containing
 // addr, for fast word access by the VM (which performs its own permission
-// checks and caches the slab in a software TLB). The returned slice aliases
-// page storage: callers must invalidate cached slabs after Unmap/Protect.
+// checks and caches the slab in a software TLB). The VM writes through the
+// returned slice, so a page shared copy-on-write is made private first. The
+// slice aliases page storage: callers must invalidate cached slabs after
+// Unmap/Protect.
 func (s *Space) Slab(addr uint64) ([]byte, Perm, bool) {
-	p, ok := s.pages[addr>>PageShift]
-	if !ok {
+	p := s.entry(addr >> PageShift)
+	if p == nil {
 		return nil, 0, false
 	}
-	return p.ensure(), p.perm, true
+	return s.writable(p)[:], p.perm, true
 }
 
 // RSSPages returns the current resident page count.
@@ -351,26 +509,22 @@ type Region struct {
 // Regions returns the mapped regions sorted by address, coalescing adjacent
 // pages with identical permissions — the simulated /proc/self/maps.
 func (s *Space) Regions() []Region {
-	if len(s.pages) == 0 {
-		return nil
-	}
-	nums := make([]uint64, 0, len(s.pages))
-	for n := range s.pages {
-		nums = append(nums, n)
-	}
-	sort.Slice(nums, func(i, j int) bool { return nums[i] < nums[j] })
 	var out []Region
-	for _, n := range nums {
-		p := s.pages[n]
-		addr := n << PageShift
-		if len(out) > 0 {
-			last := &out[len(out)-1]
-			if last.Addr+last.Size == addr && last.Perm == p.perm {
-				last.Size += PageSize
+	for _, r := range s.regions {
+		for i, p := range r.pages {
+			if !p.mapped {
 				continue
 			}
+			addr := (r.first + uint64(i)) << PageShift
+			if len(out) > 0 {
+				last := &out[len(out)-1]
+				if last.Addr+last.Size == addr && last.Perm == p.perm {
+					last.Size += PageSize
+					continue
+				}
+			}
+			out = append(out, Region{Addr: addr, Size: PageSize, Perm: p.perm})
 		}
-		out = append(out, Region{Addr: addr, Size: PageSize, Perm: p.perm})
 	}
 	return out
 }

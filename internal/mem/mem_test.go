@@ -2,6 +2,7 @@ package mem
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -264,5 +265,69 @@ func TestPartialFaultStopsAccess(t *testing.T) {
 	buf := make([]byte, 16)
 	if err := s.Write(0x1000+PageSize-8, buf); err == nil {
 		t.Fatal("write spilling into unmapped page succeeded")
+	}
+}
+
+// TestCloneToCopyOnWrite: a clone shares page bytes until it writes them —
+// through Write or through a Slab the VM writes into — and its page-table
+// edits (growing a region, unmapping, protecting) never reach the source.
+// Reusing the clone's storage for a second copy starts from the source
+// again.
+func TestCloneToCopyOnWrite(t *testing.T) {
+	src := NewSpace()
+	mustMap(t, src, 0x10000, 2*PageSize, PermRW)
+	mustMap(t, src, 0x10000+4*PageSize, PageSize, PermRW) // same table, after a gap
+	mustMap(t, src, 0x7000_0000, PageSize, PermRW)        // a region of its own
+	if err := src.Write64(0x10008, 11); err != nil {
+		t.Fatal(err)
+	}
+	if err := src.Write64(0x7000_0000, 22); err != nil {
+		t.Fatal(err)
+	}
+
+	c := &Space{}
+	src.CloneTo(c)
+	if v, _ := c.Read64(0x10008); v != 11 {
+		t.Fatalf("clone reads %d, want the source's 11", v)
+	}
+	if err := c.Write64(0x10008, 33); err != nil {
+		t.Fatal(err)
+	}
+	slab, _, _ := c.Slab(0x7000_0000)
+	slab[0] = 44
+	mustMap(t, c, 0x10000+2*PageSize, PageSize, PermRW) // grows into the gap
+	mustMap(t, c, 0x10000+5*PageSize, PageSize, PermRW) // grows the table
+	if err := c.Unmap(0x10000+4*PageSize, PageSize); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Protect(0x10000, PageSize, PermNone); err != nil {
+		t.Fatal(err)
+	}
+
+	if v, _ := src.Read64(0x10008); v != 11 {
+		t.Errorf("source sees the clone's Write: %d", v)
+	}
+	if v, _ := src.Read64(0x7000_0000); v != 22 {
+		t.Errorf("source sees the clone's slab write: %d", v)
+	}
+	if src.IsMapped(0x10000+2*PageSize) || src.IsMapped(0x10000+5*PageSize) || !src.IsMapped(0x10000+4*PageSize) {
+		t.Errorf("clone's map/unmap reached the source: %v", src.Regions())
+	}
+	if p, _ := src.PermAt(0x10000); p != PermRW {
+		t.Errorf("clone's protect reached the source: %v", p)
+	}
+	if v, _ := c.Read64(0x7000_0000); v != 44 {
+		t.Errorf("clone lost its slab write: %d", v)
+	}
+
+	want := src.Regions()
+	src.CloneTo(c)
+	if got := c.Regions(); !reflect.DeepEqual(got, want) {
+		t.Errorf("reused clone regions %v, want %v", got, want)
+	}
+	for addr, want := range map[uint64]uint64{0x10008: 11, 0x7000_0000: 22, 0x10000 + 4*PageSize: 0} {
+		if v, _ := c.Read64(addr); v != want {
+			t.Errorf("reused clone reads %d at %#x, want %d", v, addr, want)
+		}
 	}
 }

@@ -8,6 +8,8 @@ package rt
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"r2c/internal/codegen"
 	"r2c/internal/defense"
@@ -118,6 +120,10 @@ type Process struct {
 	lastFaultPC uint64
 
 	rnd *rng.RNG
+
+	// tmpl is the template the process was cloned from, which Release
+	// hands its storage back to.
+	tmpl *Template
 }
 
 // TrapRingCap is how many recent trap events a process retains. The total
@@ -134,6 +140,16 @@ func NewProcess(img *image.Image, seed uint64) (*Process, error) {
 // the start, so load-time events (the BTDP constructor) are captured too.
 // obs may be nil.
 func NewProcessObserved(img *image.Image, seed uint64, obs *telemetry.Observer) (*Process, error) {
+	p, err := load(img, seed)
+	if err != nil {
+		return nil, err
+	}
+	p.observe(obs)
+	return p, nil
+}
+
+// load maps the image and runs load-time initialization with no observer.
+func load(img *image.Image, seed uint64) (*Process, error) {
 	cfg := &img.Prog.Config
 	sp := mem.NewSpace()
 
@@ -157,7 +173,7 @@ func NewProcessObserved(img *image.Image, seed uint64, obs *telemetry.Observer) 
 		return nil, fmt.Errorf("rt: heap: %w", err)
 	}
 
-	p := &Process{Img: img, Cfg: cfg, Space: sp, Heap: h, Obs: obs, rnd: r}
+	p := &Process{Img: img, Cfg: cfg, Space: sp, Heap: h, rnd: r}
 
 	// Write the initialized data section.
 	for addr, w := range img.DataInit {
@@ -175,15 +191,111 @@ func NewProcessObserved(img *image.Image, seed uint64, obs *telemetry.Observer) 
 			return nil, fmt.Errorf("rt: btdp constructor: %w", err)
 		}
 	}
+	return p, nil
+}
 
-	// Attach the flight recorder after the constructor, so its guard-zone
-	// filter sees the final guard-page layout. Capacity 0 leaves Flight nil
-	// and the VM hooks dormant.
+// observe attaches obs to a freshly loaded process: it publishes what the
+// BTDP constructor built and, when obs asks for one, attaches the flight
+// recorder. The recorder comes after the constructor, so its guard-zone
+// filter sees the final guard-page layout; capacity 0 leaves Flight nil and
+// the VM hooks dormant.
+func (p *Process) observe(obs *telemetry.Observer) {
+	p.Obs = obs
+	if p.Cfg.BTDP {
+		obs.Counter("rt.btdp.constructors").Inc()
+		obs.Gauge("rt.btdp.guard_pages").Set(float64(len(p.GuardPages)))
+		obs.Gauge("rt.btdp.array_len").Set(float64(len(p.BTDPValues)))
+		obs.Gauge("rt.btdp.data_decoys").Set(float64(len(p.DecoyVals)))
+		obs.Emit("btdp-init", map[string]any{
+			"guard_pages": len(p.GuardPages),
+			"array_addr":  p.BTDPArray,
+			"array_len":   len(p.BTDPValues),
+			"decoys":      len(p.DecoyVals),
+			"naive_array": p.Cfg.BTDPNaiveDataArray,
+		})
+	}
 	if cap := obs.FlightRecorderCap(); cap > 0 {
 		p.Flight = telemetry.NewFlightRecorder(cap)
 		p.Flight.ArmGuards(p.GuardPages, mem.PageSize)
 	}
-	return p, nil
+}
+
+// Template is a process captured right after load-time initialization: its
+// address space, heap, BTDP layout and the process and heap RNG states that
+// keep drawing at run time. A real R2C deployment runs the BTDP constructor
+// once at startup and forks workers from that state (Section 5.2); Clone is
+// that fork. The captured process is never written again, and Clone and
+// Release are safe for concurrent use.
+type Template struct {
+	proto *Process
+
+	// spare holds the storage of released clones for later Clones to
+	// reuse, at most maxSpares of them.
+	mu    sync.Mutex
+	spare []storage
+}
+
+// storage is the reusable part of a released clone.
+type storage struct {
+	space *mem.Space
+	heap  *heap.Allocator
+	rnd   *rng.RNG
+}
+
+// maxSpares bounds the released clones a template keeps for reuse; it only
+// needs to cover the clones of one template alive at once.
+const maxSpares = 8
+
+// NewTemplate loads img with seed the way NewProcess does and keeps the
+// result as a template. It emits no telemetry: each Clone replays the
+// constructor's to its own observer.
+func NewTemplate(img *image.Image, seed uint64) (*Template, error) {
+	p, err := load(img, seed)
+	if err != nil {
+		return nil, err
+	}
+	// Cloning the space once marks every page shared, so later Clones only
+	// read the template's tables.
+	sp, h := &mem.Space{}, &heap.Allocator{}
+	p.Space.CloneTo(sp)
+	p.Heap.CloneTo(h, sp)
+	p.Space, p.Heap = sp, h
+	return &Template{proto: p}, nil
+}
+
+// Clone returns a process bit-identical to NewProcessObserved(img, seed,
+// obs) for the template's image and seed, with the constructor's telemetry
+// (rt.btdp.* metrics, the btdp-init event, flight-recorder arming) replayed
+// to obs. Its cost is a flat copy of the page tables plus the pages the run
+// goes on to touch: page bytes and heap bookkeeping stay shared with the
+// template until first written. The BTDP ground-truth slices are shared
+// read-only.
+func (t *Template) Clone(obs *telemetry.Observer) *Process {
+	src := t.proto
+	t.mu.Lock()
+	var st storage
+	if n := len(t.spare); n > 0 {
+		st = t.spare[n-1]
+		t.spare = t.spare[:n-1]
+	} else {
+		st = storage{&mem.Space{}, &heap.Allocator{}, new(rng.RNG)}
+	}
+	t.mu.Unlock()
+	src.Space.CloneTo(st.space)
+	src.Heap.CloneTo(st.heap, st.space)
+	*st.rnd = *src.rnd
+	p := &Process{
+		Img: src.Img, Cfg: src.Cfg, Space: st.space, Heap: st.heap,
+		GuardPages: slices.Clip(src.GuardPages),
+		BTDPArray:  src.BTDPArray,
+		BTDPValues: slices.Clip(src.BTDPValues),
+		DecoyVals:  slices.Clip(src.DecoyVals),
+		InitialRSP: src.InitialRSP,
+		rnd:        st.rnd,
+		tmpl:       t,
+	}
+	p.observe(obs)
+	return p
 }
 
 // runBTDPConstructor performs the startup sequence of Section 5.2: allocate
@@ -295,18 +407,24 @@ func (p *Process) runBTDPConstructor() error {
 		}
 	}
 
-	p.Obs.Counter("rt.btdp.constructors").Inc()
-	p.Obs.Gauge("rt.btdp.guard_pages").Set(float64(len(p.GuardPages)))
-	p.Obs.Gauge("rt.btdp.array_len").Set(float64(len(p.BTDPValues)))
-	p.Obs.Gauge("rt.btdp.data_decoys").Set(float64(len(p.DecoyVals)))
-	p.Obs.Emit("btdp-init", map[string]any{
-		"guard_pages": len(p.GuardPages),
-		"array_addr":  p.BTDPArray,
-		"array_len":   len(p.BTDPValues),
-		"decoys":      len(p.DecoyVals),
-		"naive_array": cfg.BTDPNaiveDataArray,
-	})
 	return nil
+}
+
+// Release hands a cloned process's address space and heap back to its
+// template, whose next Clone reuses their storage. Nothing may use the
+// process, or a machine running it, afterwards. A process not cloned from a
+// template is left alone.
+func (p *Process) Release() {
+	t := p.tmpl
+	if t == nil {
+		return
+	}
+	p.tmpl = nil
+	t.mu.Lock()
+	if len(t.spare) < maxSpares {
+		t.spare = append(t.spare, storage{p.Space, p.Heap, p.rnd})
+	}
+	t.mu.Unlock()
 }
 
 // IsGuardAddr reports whether addr falls inside a BTDP guard page.

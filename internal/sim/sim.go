@@ -71,8 +71,19 @@ func BuildImageSpan(m *tir.Module, cfg defense.Config, seed uint64, sp *telemetr
 // randomness from the same run seed Build uses — so a process created from a
 // cached image is bit-identical to one from a fresh build.
 func NewProcessFromImage(img *image.Image, seed uint64, obs *telemetry.Observer) (*rt.Process, error) {
-	return rt.NewProcessObserved(img, seed*0xbf58476d1ce4e5b9+2, obs)
+	return rt.NewProcessObserved(img, loadSeed(seed), obs)
 }
+
+// NewTemplateFromImage loads img once into a process template with
+// NewProcessFromImage's seed derivation: every Clone(obs) of it is
+// bit-identical to NewProcessFromImage(img, seed, obs), without rerunning
+// the load-time constructor.
+func NewTemplateFromImage(img *image.Image, seed uint64) (*rt.Template, error) {
+	return rt.NewTemplate(img, loadSeed(seed))
+}
+
+// loadSeed derives the load-time randomness seed from a run seed.
+func loadSeed(seed uint64) uint64 { return seed*0xbf58476d1ce4e5b9 + 2 }
 
 // Run builds and executes a module to completion on the given profile.
 func Run(m *tir.Module, cfg defense.Config, seed uint64, prof *vm.Profile) (*vm.Result, *rt.Process, error) {

@@ -210,13 +210,13 @@ func TestEvalAlertsSeries(t *testing.T) {
 		if i > 80 {
 			q = float64(i - 80)
 		}
-		ss.Sample(t_, "fleet.quarantines", q)
+		ss.Series("fleet.quarantines").Sample(t_, q)
 		// Sojourn p99 creeps up 10x over the last 10 ticks.
 		v := 0.01
 		if i > 90 {
 			v = 0.01 * float64(i-89)
 		}
-		ss.Sample(t_, "fleet.sojourn.p99", v)
+		ss.Series("fleet.sojourn.p99").Sample(t_, v)
 	}
 	snap := ss.Snapshot(nil, 0)
 
@@ -266,7 +266,7 @@ no-series: rate_over(never.sampled, 10) > 0
 func TestBurnRateFlatBaselineIsMissing(t *testing.T) {
 	ss := NewSeriesSet(16, nil)
 	for i := 0; i <= 10; i++ {
-		ss.Sample(float64(i), "m", 3) // perfectly flat
+		ss.Series("m").Sample(float64(i), 3) // perfectly flat
 	}
 	rules := mustParseRules(t, "b: burn_rate(m, 2, 8) > 1")
 	states := EvalAlertsSeries(rules, &Snapshot{}, ss.Snapshot(nil, 0), time.Second)

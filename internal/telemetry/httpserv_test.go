@@ -257,8 +257,8 @@ func TestOpsServerHealthzDegraded(t *testing.T) {
 func TestOpsServerTimeseriesEndpoint(t *testing.T) {
 	ss := NewSeriesSet(8, nil)
 	for i := 0; i < 5; i++ {
-		ss.Sample(float64(i), "fleet.throughput.rps", float64(100+i))
-		ss.Sample(float64(i), "fleet.sojourn.p99", 0.001*float64(i))
+		ss.Series("fleet.throughput.rps").Sample(float64(i), float64(100+i))
+		ss.Series("fleet.sojourn.p99").Sample(float64(i), 0.001*float64(i))
 	}
 	s, err := ServeOpsSources("127.0.0.1:0", OpsSources{Series: ss})
 	if err != nil {

@@ -18,98 +18,149 @@ import (
 // without touching the registry: a sample is an explicit, clock-stamped
 // observation, so the ring contents are byte-identical at any -jobs width
 // as long as the sampler's clock is.
+//
+// A full ring decimates instead of overwriting: it keeps every other point
+// and doubles its stride, so however long the run, the ring covers all of
+// it at a resolution that halves each time it fills. The newest sample is
+// always the last point, on or off the stride.
 
 // DefaultSeriesCap is the per-series ring capacity when the caller does not
-// choose one: enough for a few hundred ticks of trajectory at sparkline
+// choose one: enough for a few hundred points of trajectory at sparkline
 // resolution while keeping a fleet-sized set comfortably in cache.
 const DefaultSeriesCap = 512
 
-// TimeSeries is one named series: a fixed-capacity ring of (t, v) samples.
-// Pushing past capacity overwrites the oldest sample and counts it as
-// dropped — the ring never allocates after construction.
+// TimeSeries is one named series: a fixed-capacity, decimating ring of
+// (t, v) samples. It is also the sampler's handle: resolve it once with
+// SeriesSet.Series and call Sample, which takes no map lookup and never
+// allocates.
 type TimeSeries struct {
-	name    string
-	t, v    []float64
-	head    int // index of the oldest sample
-	n       int
+	set  *SeriesSet
+	name string
+	t, v []float64
+	n    int
+	// stride is the minimum time between two committed points: 0 until the
+	// first decimation, then doubled by each one.
+	stride float64
+	// tail marks the last point as provisional: the newest sample, closer
+	// than stride to the committed point before it. The next sample
+	// replaces it.
+	tail    bool
 	dropped uint64
 }
 
-func newTimeSeries(name string, capacity int) *TimeSeries {
-	return &TimeSeries{name: name, t: make([]float64, capacity), v: make([]float64, capacity)}
+func newTimeSeries(set *SeriesSet, name string, capacity int) *TimeSeries {
+	return &TimeSeries{set: set, name: name, t: make([]float64, capacity), v: make([]float64, capacity)}
 }
 
-// push appends one sample, reporting whether it overwrote the oldest.
-func (s *TimeSeries) push(t, v float64) bool {
-	if s.n < len(s.t) {
-		i := (s.head + s.n) % len(s.t)
-		s.t[i], s.v[i] = t, v
-		s.n++
-		return false
+// push appends one sample and returns how many points it thinned away: a
+// replaced provisional point, and the half of the ring a decimation drops.
+func (s *TimeSeries) push(t, v float64) int {
+	thinned := 0
+	if s.tail {
+		s.n--
+		s.tail = false
+		thinned++
 	}
-	s.t[s.head], s.v[s.head] = t, v
-	s.head = (s.head + 1) % len(s.t)
-	s.dropped++
-	return true
+	if s.n == len(s.t) {
+		thinned += s.decimate()
+	}
+	onStride := s.n == 0 || t-s.t[s.n-1] >= s.stride
+	s.t[s.n], s.v[s.n] = t, v
+	s.n++
+	s.tail = !onStride
+	s.dropped += uint64(thinned)
+	return thinned
+}
+
+// decimate keeps every other point (the oldest included) and doubles the
+// stride; the first decimation sets it to twice the mean point spacing.
+func (s *TimeSeries) decimate() int {
+	if s.stride == 0 && s.n > 1 {
+		s.stride = (s.t[s.n-1] - s.t[0]) / float64(s.n-1)
+	}
+	s.stride *= 2
+	kept := 0
+	for i := 0; i < s.n; i += 2 {
+		s.t[kept], s.v[kept] = s.t[i], s.v[i]
+		kept++
+	}
+	thinned := s.n - kept
+	s.n = kept
+	return thinned
+}
+
+// Sample records value v at time t. Non-finite values are skipped — NaN is
+// how an empty histogram quantile says "no data yet", and a NaN in a ring
+// would poison every JSON marshal downstream. A nil series ignores samples,
+// so call sites need no guards.
+func (s *TimeSeries) Sample(t, v float64) {
+	if s == nil || math.IsNaN(v) || math.IsInf(v, 0) {
+		return
+	}
+	ss := s.set
+	ss.mu.Lock()
+	thinned := s.push(t, v)
+	if t > ss.now {
+		ss.now = t
+	}
+	if thinned > 0 && ss.dropped == nil {
+		ss.dropped = ss.obs.Counter("telemetry.series.dropped")
+	}
+	ss.mu.Unlock()
+	if thinned > 0 {
+		ss.dropped.Add(uint64(thinned))
+	}
 }
 
 // Len returns the number of live samples.
 func (s *TimeSeries) Len() int { return s.n }
 
 // At returns the i-th oldest live sample.
-func (s *TimeSeries) At(i int) (t, v float64) {
-	j := (s.head + i) % len(s.t)
-	return s.t[j], s.v[j]
-}
+func (s *TimeSeries) At(i int) (t, v float64) { return s.t[i], s.v[i] }
 
-// Dropped returns how many samples ring overwrite has discarded.
+// Dropped returns how many samples decimation has thinned away.
 func (s *TimeSeries) Dropped() uint64 { return s.dropped }
 
 // SeriesSet is a concurrency-safe collection of TimeSeries rings. The
-// sampler side calls Sample from the loop that owns the clock; the consumer
-// side (ops endpoints, -timeseries-out, windowed alerts) reads immutable
-// Snapshot views. A nil SeriesSet ignores samples and snapshots empty, so
+// sampler side resolves a handle per series once (Series) and samples
+// through it from the loop that owns the clock; the consumer side (ops
+// endpoints, -timeseries-out, windowed alerts) reads immutable Snapshot
+// views. A nil SeriesSet hands out nil handles and snapshots empty, so
 // sampling call sites need no guards — the same write-beside contract as
 // the Observer.
 type SeriesSet struct {
-	mu     sync.Mutex
-	cap    int
-	obs    *Observer
-	series map[string]*TimeSeries
-	now    float64
+	mu      sync.Mutex
+	cap     int
+	obs     *Observer
+	dropped *Counter // telemetry.series.dropped, resolved on first thinning
+	series  map[string]*TimeSeries
+	now     float64
 }
 
 // NewSeriesSet returns a set whose rings hold capacity samples each
-// (<= 0 picks DefaultSeriesCap). obs, when non-nil, receives the
-// telemetry.series.dropped counter on ring overwrite.
+// (<= 0 picks DefaultSeriesCap; at least 2). obs, when non-nil, receives
+// the telemetry.series.dropped counter of samples decimation thinned away.
 func NewSeriesSet(capacity int, obs *Observer) *SeriesSet {
 	if capacity <= 0 {
 		capacity = DefaultSeriesCap
 	}
-	return &SeriesSet{cap: capacity, obs: obs, series: map[string]*TimeSeries{}}
+	return &SeriesSet{cap: max(capacity, 2), obs: obs, series: map[string]*TimeSeries{}}
 }
 
-// Sample records value v for the named series at time t. Non-finite values
-// are skipped — NaN is how an empty histogram quantile says "no data yet",
-// and a NaN in a ring would poison every JSON marshal downstream.
-func (ss *SeriesSet) Sample(t float64, name string, v float64) {
-	if ss == nil || math.IsNaN(v) || math.IsInf(v, 0) {
-		return
+// Series returns the named series' handle, creating the series on first
+// use. A nil set returns a nil handle, whose Sample is a no-op.
+func (ss *SeriesSet) Series(name string) *TimeSeries {
+	if ss == nil {
+		return nil
 	}
 	ss.mu.Lock()
+	defer ss.mu.Unlock()
 	s := ss.series[name]
 	if s == nil {
-		s = newTimeSeries(name, ss.cap)
+		s = newTimeSeries(ss, name, ss.cap)
 		ss.series[name] = s
 	}
-	overwrote := s.push(t, v)
-	if t > ss.now {
-		ss.now = t
-	}
-	ss.mu.Unlock()
-	if overwrote {
-		ss.obs.Counter("telemetry.series.dropped").Inc()
-	}
+	return s
 }
 
 // Now returns the largest sample time seen so far — the reference point the
@@ -130,8 +181,9 @@ type SeriesPoint [2]float64
 // SeriesData is one series in a snapshot.
 type SeriesData struct {
 	Name string `json:"name"`
-	// Dropped counts samples lost to ring overwrite over the series'
-	// lifetime — the per-series view of telemetry.series.dropped.
+	// Dropped counts the samples decimation thinned away over the series'
+	// lifetime — the per-series view of telemetry.series.dropped. Points
+	// plus Dropped is every sample the series was offered.
 	Dropped uint64        `json:"dropped,omitempty"`
 	Points  []SeriesPoint `json:"points"`
 }
@@ -169,7 +221,10 @@ func (ss *SeriesSet) Snapshot(filter []string, last int) *SeriesSnapshot {
 	defer ss.mu.Unlock()
 	snap.Now = ss.now
 	names := make([]string, 0, len(ss.series))
-	for name := range ss.series {
+	for name, s := range ss.series {
+		if s.n == 0 {
+			continue // a resolved handle that has not been sampled yet
+		}
 		if len(filter) > 0 {
 			keep := false
 			for _, f := range filter {

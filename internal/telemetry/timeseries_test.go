@@ -7,25 +7,32 @@ import (
 	"testing"
 )
 
-func TestTimeSeriesRingOverwrite(t *testing.T) {
+// TestTimeSeriesRingDecimates pins the full-ring policy: a full ring keeps
+// every other point and doubles its stride instead of overwriting its
+// oldest, so the survivors span the whole run, the newest sample is always
+// the last point, and Dropped (plus telemetry.series.dropped) counts what
+// decimation thinned away.
+func TestTimeSeriesRingDecimates(t *testing.T) {
 	obs := &Observer{Registry: NewRegistry()}
 	ss := NewSeriesSet(4, obs)
 	for i := 0; i < 10; i++ {
-		ss.Sample(float64(i), "m", float64(i*i))
+		ss.Series("m").Sample(float64(i), float64(i*i))
 	}
 	snap := ss.Snapshot(nil, 0)
 	if len(snap.Series) != 1 {
 		t.Fatalf("series count = %d, want 1", len(snap.Series))
 	}
 	sd := snap.Series[0]
-	if len(sd.Points) != 4 {
-		t.Fatalf("ring kept %d points, want 4 (the capacity)", len(sd.Points))
+	// 0..3 fill the ring; 4 decimates to {0,2} (stride 2) and commits; 5 is
+	// provisional until 6 replaces it; 7 decimates to {0,4} (stride 4) and is
+	// provisional until 8; 9 is the provisional newest.
+	want := []float64{0, 4, 8, 9}
+	if len(sd.Points) != len(want) {
+		t.Fatalf("ring kept %v, want times %v", sd.Points, want)
 	}
-	// The survivors are the newest four, oldest first.
 	for i, p := range sd.Points {
-		wantT := float64(6 + i)
-		if p[0] != wantT || p[1] != wantT*wantT {
-			t.Fatalf("point %d = %v, want [%g %g]", i, p, wantT, wantT*wantT)
+		if p[0] != want[i] || p[1] != want[i]*want[i] {
+			t.Fatalf("point %d = %v, want [%g %g]", i, p, want[i], want[i]*want[i])
 		}
 	}
 	if sd.Dropped != 6 {
@@ -40,12 +47,40 @@ func TestTimeSeriesRingOverwrite(t *testing.T) {
 	}
 }
 
+// TestTimeSeriesDecimationCoversRun: however many samples arrive, the ring
+// stays within capacity, time-ordered, keeps the first sample and the
+// newest, and accounts for every sample as a point or a thinned one.
+func TestTimeSeriesDecimationCoversRun(t *testing.T) {
+	for _, n := range []int{7, 8, 9, 100, 1000, 12345} {
+		ss := NewSeriesSet(8, nil)
+		h := ss.Series("m")
+		for i := 0; i < n; i++ {
+			h.Sample(float64(i)*0.5, float64(i))
+		}
+		sd := ss.Snapshot(nil, 0).Series[0]
+		if len(sd.Points) > 8 {
+			t.Fatalf("n=%d: %d points exceed the capacity", n, len(sd.Points))
+		}
+		for i := 1; i < len(sd.Points); i++ {
+			if sd.Points[i][0] <= sd.Points[i-1][0] {
+				t.Fatalf("n=%d: points out of time order: %v", n, sd.Points)
+			}
+		}
+		if first, last := sd.Points[0], sd.Points[len(sd.Points)-1]; first[0] != 0 || last[0] != float64(n-1)*0.5 {
+			t.Fatalf("n=%d: points %v do not span the run", n, sd.Points)
+		}
+		if got := len(sd.Points) + int(sd.Dropped); got != n {
+			t.Fatalf("n=%d: %d points + %d dropped != samples", n, len(sd.Points), sd.Dropped)
+		}
+	}
+}
+
 func TestSeriesSetSkipsNonFinite(t *testing.T) {
 	ss := NewSeriesSet(8, nil)
-	ss.Sample(1, "m", math.NaN())
-	ss.Sample(2, "m", math.Inf(1))
-	ss.Sample(3, "m", math.Inf(-1))
-	ss.Sample(4, "m", 7)
+	ss.Series("m").Sample(1, math.NaN())
+	ss.Series("m").Sample(2, math.Inf(1))
+	ss.Series("m").Sample(3, math.Inf(-1))
+	ss.Series("m").Sample(4, 7)
 	snap := ss.Snapshot(nil, 0)
 	if len(snap.Series) != 1 || len(snap.Series[0].Points) != 1 {
 		t.Fatalf("non-finite samples were not skipped: %+v", snap)
@@ -58,9 +93,9 @@ func TestSeriesSetSkipsNonFinite(t *testing.T) {
 func TestSeriesSnapshotFilterAndLast(t *testing.T) {
 	ss := NewSeriesSet(16, nil)
 	for i := 0; i < 6; i++ {
-		ss.Sample(float64(i), "fleet.sojourn.p99", float64(i))
-		ss.Sample(float64(i), Key("fleet.variant.sojourn", "slot", "0"), float64(i))
-		ss.Sample(float64(i), "exec.cells.done", float64(i))
+		ss.Series("fleet.sojourn.p99").Sample(float64(i), float64(i))
+		ss.Series(Key("fleet.variant.sojourn", "slot", "0")).Sample(float64(i), float64(i))
+		ss.Series("exec.cells.done").Sample(float64(i), float64(i))
 	}
 
 	// Exact name.
@@ -89,7 +124,7 @@ func TestSeriesSnapshotFilterAndLast(t *testing.T) {
 
 func TestSeriesSetNilSafety(t *testing.T) {
 	var ss *SeriesSet
-	ss.Sample(1, "m", 2) // must not panic
+	ss.Series("m").Sample(1, 2) // must not panic
 	if got := ss.Now(); got != 0 {
 		t.Fatalf("nil Now = %g", got)
 	}
@@ -108,8 +143,8 @@ func TestSeriesSetNilSafety(t *testing.T) {
 
 func TestSeriesWriteJSONIsValid(t *testing.T) {
 	ss := NewSeriesSet(8, nil)
-	ss.Sample(0.5, "a", 1)
-	ss.Sample(1.5, "b", 2)
+	ss.Series("a").Sample(0.5, 1)
+	ss.Series("b").Sample(1.5, 2)
 	var buf bytes.Buffer
 	if err := ss.WriteJSON(&buf); err != nil {
 		t.Fatalf("WriteJSON: %v", err)
@@ -123,5 +158,16 @@ func TestSeriesWriteJSONIsValid(t *testing.T) {
 	}
 	if snap.Now != 1.5 {
 		t.Fatalf("round-trip now = %g", snap.Now)
+	}
+}
+
+// TestSeriesSampleAllocatesNothing: a resolved handle samples — decimation
+// and the dropped counter included — without allocating.
+func TestSeriesSampleAllocatesNothing(t *testing.T) {
+	ss := NewSeriesSet(16, &Observer{Registry: NewRegistry()})
+	h := ss.Series("m")
+	x := 0.0
+	if n := testing.AllocsPerRun(1000, func() { x++; h.Sample(x, x) }); n != 0 {
+		t.Fatalf("Sample allocates %.1f times per call", n)
 	}
 }

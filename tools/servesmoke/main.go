@@ -61,7 +61,7 @@ func main() {
 
 	observatoryRun(serve, rulesPath)
 	timeseriesDeterminismRun(serve, rulesPath, tmp)
-	degradedRun(serve, rulesPath)
+	degradedRun(serve, rulesPath, tmp)
 	fmt.Println("servesmoke: all gates passed")
 }
 
@@ -104,7 +104,9 @@ func decodeSeries(body []byte) (*seriesSnapshot, error) {
 // scraped mid-flight, that must still pass -require-recover and exit 0 with
 // the windowed rule quiet.
 func observatoryRun(serve, rulesPath string) {
-	args := append(fleetArgs("2000"),
+	// 20000 requests keep the run going for a couple of wall seconds, long
+	// enough for the scrapes below to land mid-run.
+	args := append(fleetArgs("20000"),
 		"-require-recover", "-listen", "127.0.0.1:0",
 		"-alert-rules", rulesPath,
 		"-metrics-out", "SERVE_metrics.json",
@@ -273,11 +275,18 @@ func timeseriesDeterminismRun(serve, rulesPath, tmp string) {
 	fmt.Printf("servesmoke: -timeseries-out byte-identical at -jobs 1 and -jobs 8 (%d bytes)\n", len(a))
 }
 
+// seriesCap is the fleet rings' capacity (telemetry.DefaultSeriesCap).
+const seriesCap = 512
+
 // degradedRun injects the compounding slowdown; the windowed rule must fire
-// and turn into exit code 1.
-func degradedRun(serve, rulesPath string) {
+// and turn into exit code 1. The run stretches simulated time far past the
+// schedule, so its -timeseries-out also pins the sampler's bound: every
+// series stays within the ring capacity and, decimated, still covers the
+// whole run.
+func degradedRun(serve, rulesPath, tmp string) {
+	tsOut := filepath.Join(tmp, "ts-degraded.json")
 	args := append(fleetArgs("400"),
-		"-alert-rules", rulesPath,
+		"-alert-rules", rulesPath, "-timeseries-out", tsOut,
 		"-degrade-slot", "0", "-degrade-after", "5", "-degrade-growth", "1.3",
 		"nginx")
 	cmd := exec.Command(serve, args...)
@@ -293,4 +302,30 @@ func degradedRun(serve, rulesPath string) {
 		fatal(fmt.Sprintf("degraded run's alert table shows no FIRING rule:\n%s", out))
 	}
 	fmt.Println("servesmoke: degraded run fired the windowed alert and exited 1")
+
+	body, err := os.ReadFile(tsOut)
+	if err != nil {
+		fatal(err)
+	}
+	snap, err := decodeSeries(body) // also checks every series is time-ordered
+	if err != nil {
+		fatal(err)
+	}
+	if len(snap.Series) == 0 {
+		fatal("degraded run wrote no time series")
+	}
+	for _, sd := range snap.Series {
+		pts := sd.Points
+		switch {
+		case len(pts) == 0:
+			fatal(fmt.Sprintf("degraded run: series %s is empty", sd.Name))
+		case len(pts) > seriesCap:
+			fatal(fmt.Sprintf("degraded run: series %s holds %d points, more than %d", sd.Name, len(pts), seriesCap))
+		case pts[0][0] >= 0.02*snap.Now:
+			fatal(fmt.Sprintf("degraded run: series %s starts at t=%g, not within the first 2%% of %g", sd.Name, pts[0][0], snap.Now))
+		case pts[len(pts)-1][0] != snap.Now:
+			fatal(fmt.Sprintf("degraded run: series %s ends at t=%g, not at the run's end %g", sd.Name, pts[len(pts)-1][0], snap.Now))
+		}
+	}
+	fmt.Printf("servesmoke: degraded -timeseries-out: %d series within %d points each, covering [0, %.3gs]\n", len(snap.Series), seriesCap, snap.Now)
 }
