@@ -17,6 +17,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 	"slices"
 	"sort"
@@ -427,13 +428,13 @@ func (s *Space) Read64(addr uint64) (uint64, error) {
 	if err := s.Read(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return le64(b[:]), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // Write64 stores a little-endian 64-bit word.
 func (s *Space) Write64(addr, v uint64) error {
 	var b [8]byte
-	put64(b[:], v)
+	binary.LittleEndian.PutUint64(b[:], v)
 	return s.Write(addr, b[:])
 }
 
@@ -469,21 +470,21 @@ func (s *Space) DebugRead64(addr uint64) (uint64, error) {
 	if err := s.DebugRead(addr, b[:]); err != nil {
 		return 0, err
 	}
-	return le64(b[:]), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // Slab exposes the backing bytes and permission of the page containing
 // addr, for fast word access by the VM (which performs its own permission
 // checks and caches the slab in a software TLB). The VM writes through the
-// returned slice, so a page shared copy-on-write is made private first. The
-// slice aliases page storage: callers must invalidate cached slabs after
+// returned page, so a page shared copy-on-write is made private first. The
+// page aliases page storage: callers must invalidate cached slabs after
 // Unmap/Protect.
-func (s *Space) Slab(addr uint64) ([]byte, Perm, bool) {
+func (s *Space) Slab(addr uint64) (*[PageSize]byte, Perm, bool) {
 	p := s.entry(addr >> PageShift)
 	if p == nil {
 		return nil, 0, false
 	}
-	return s.writable(p)[:], p.perm, true
+	return s.writable(p), p.perm, true
 }
 
 // RSSPages returns the current resident page count.
@@ -537,20 +538,4 @@ func AlignUp(v, align uint64) uint64 {
 // AlignDown rounds v down to a multiple of align (a power of two).
 func AlignDown(v, align uint64) uint64 {
 	return v &^ (align - 1)
-}
-
-func le64(b []byte) uint64 {
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func put64(b []byte, v uint64) {
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }

@@ -189,7 +189,7 @@ func TestOpsServerSourcesEndpoints(t *testing.T) {
 			if perr != nil {
 				t.Error(perr)
 			}
-			return EvalAlerts(rules, reg.Snapshot(), time.Second)
+			return EvalAlertsSeries(rules, reg.Snapshot(), nil, time.Second)
 		},
 	})
 	if err != nil {

@@ -135,14 +135,21 @@ func buildBenchImage(b *testing.B, m *tir.Module, cfg defense.Config) *image.Ima
 	return img
 }
 
-func runBenchImage(b *testing.B, img *image.Image, legacy bool) {
+// runBenchImage runs img to completion b.N times on one dispatch engine and
+// reports the interpreter's throughput plus the memory layer's shape: the
+// data-TLB hit rate and the data accesses per instruction. obs, when
+// non-nil, is attached to every process.
+func runBenchImage(b *testing.B, img *image.Image, legacy bool, obs *telemetry.Observer) {
 	b.Helper()
-	var instrs uint64
+	var instrs, hits, misses uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		proc, err := sim.NewProcessFromImage(img, 1, nil)
+		proc, err := sim.NewProcessFromImage(img, 1, obs)
 		if err != nil {
 			b.Fatal(err)
+		}
+		if obs != nil && obs.FlightCap > 0 && proc.Flight == nil {
+			b.Fatal("flight recorder not attached")
 		}
 		mach := vm.New(proc, vm.EPYCRome())
 		mach.Legacy = legacy
@@ -151,16 +158,22 @@ func runBenchImage(b *testing.B, img *image.Image, legacy bool) {
 			b.Fatalf("run: halted=%v err=%v", res.Halted, err)
 		}
 		instrs += res.Instructions
+		hits += res.TLBHits
+		misses += res.TLBMisses
 	}
 	b.StopTimer()
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
+	if acc := hits + misses; acc > 0 {
+		b.ReportMetric(float64(hits)/float64(acc), "tlb-hit/access")
+	}
+	b.ReportMetric(float64(hits+misses)/float64(instrs), "mem-acc/instr")
 }
 
 func benchBoth(b *testing.B, m *tir.Module, cfg defense.Config) {
 	b.Helper()
 	img := buildBenchImage(b, m, cfg)
-	b.Run("fast", func(b *testing.B) { runBenchImage(b, img, false) })
-	b.Run("legacy", func(b *testing.B) { runBenchImage(b, img, true) })
+	b.Run("fast", func(b *testing.B) { runBenchImage(b, img, false, nil) })
+	b.Run("legacy", func(b *testing.B) { runBenchImage(b, img, true, nil) })
 }
 
 func BenchmarkVMAluLoop(b *testing.B) {
@@ -183,37 +196,13 @@ func BenchmarkVMLoadStore(b *testing.B) {
 	benchBoth(b, loadStoreModule(), defense.Off())
 }
 
-// runBenchImageFlight is runBenchImage with a flight recorder attached —
+// BenchmarkVMCallDenseR2CFullFlight runs with a flight recorder attached —
 // the enabled-but-idle overhead gate for the security observatory: the
 // recorder hooks fire on every call/ret/jump, so this measures their
 // steady-state dispatch cost against the recorder-free numbers above.
-func runBenchImageFlight(b *testing.B, img *image.Image, legacy bool) {
-	b.Helper()
-	obs := &telemetry.Observer{FlightCap: 64}
-	var instrs uint64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		proc, err := sim.NewProcessFromImage(img, 1, obs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if proc.Flight == nil {
-			b.Fatal("flight recorder not attached")
-		}
-		mach := vm.New(proc, vm.EPYCRome())
-		mach.Legacy = legacy
-		res, err := mach.Run(sim.DefaultBudget)
-		if err != nil || !res.Halted {
-			b.Fatalf("run: halted=%v err=%v", res.Halted, err)
-		}
-		instrs += res.Instructions
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds()/1e6, "Minstr/s")
-}
-
 func BenchmarkVMCallDenseR2CFullFlight(b *testing.B) {
 	img := buildBenchImage(b, callDenseModule(), defense.R2CFull())
-	b.Run("fast", func(b *testing.B) { runBenchImageFlight(b, img, false) })
-	b.Run("legacy", func(b *testing.B) { runBenchImageFlight(b, img, true) })
+	obs := &telemetry.Observer{FlightCap: 64}
+	b.Run("fast", func(b *testing.B) { runBenchImage(b, img, false, obs) })
+	b.Run("legacy", func(b *testing.B) { runBenchImage(b, img, true, obs) })
 }

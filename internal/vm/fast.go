@@ -26,6 +26,13 @@ import (
 // to runLegacy for exactly the instructions up to the boundary, so boundary
 // semantics are the reference semantics by construction.
 //
+// Memory ops run the data-TLB hit path (loadHit/storeHit) inline and call
+// out only on a miss, fault or page straddle. That needs this function to
+// stay under the Go inliner's big-function threshold (5,000 nodes; past it
+// callees get a budget of 20 instead of 80), which is why vector moves and
+// the rare ops (traps, system calls, halt) live in fastRare.
+// TestMemoryHitPathInlines checks the compiler's inlining report for it.
+//
 // Cycle accounting (float64) deliberately stays per-op and in program
 // order: float addition is not associative, so block-summed charging would
 // change Result.Cycles in the low bits. Only the integer counters are
@@ -151,12 +158,13 @@ blocks:
 					// matches the legacy loop's at this op.
 					m.rec.Record(telemetry.FlightLoad, op.Addr, op.Imm, m.res.Instructions-uint64(end-idx-1))
 				}
-				v, f := m.read64(op.Imm)
-				if f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				v, ok := m.loadHit(op.Imm)
+				if !ok {
+					var f *mem.Fault
+					if v, f = m.read64Cold(op.Imm); f != nil {
+						m.memStop(code, idx, end, f)
+						return m.finish(), nil
+					}
 				}
 				cpu.R[op.Dst] = v
 				m.charge(isa.KLoad, prof.Cost[isa.KLoad])
@@ -166,22 +174,24 @@ blocks:
 				if m.rec != nil && m.rec.NearGuard(a) {
 					m.rec.Record(telemetry.FlightLoad, op.Addr, a, m.res.Instructions-uint64(end-idx-1))
 				}
-				v, f := m.read64(a)
-				if f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				v, ok := m.loadHit(a)
+				if !ok {
+					var f *mem.Fault
+					if v, f = m.read64Cold(a); f != nil {
+						m.memStop(code, idx, end, f)
+						return m.finish(), nil
+					}
 				}
 				cpu.R[op.Dst] = v
 				m.charge(isa.KLoad, prof.Cost[isa.KLoad])
 				idx++
 			case pcode.XStore:
-				if f := m.write64(cpu.R[op.Base]+uint64(op.Disp), cpu.R[op.Src]); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				a := cpu.R[op.Base] + uint64(op.Disp)
+				if !m.storeHit(a, cpu.R[op.Src]) {
+					if f := m.write64Cold(a, cpu.R[op.Src]); f != nil {
+						m.memStop(code, idx, end, f)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KStore, prof.Cost[isa.KStore])
 				idx++
@@ -208,9 +218,8 @@ blocks:
 			case pcode.XAluRR:
 				v, c, err := aluExec(op.Alu, cpu.R[op.Dst], cpu.R[op.Src], prof, prof.Cost[isa.KAlu])
 				if err != nil {
-					cpu.PC = op.Addr
-					m.rollback(code, idx+1, end)
-					return m.finish(), fmt.Errorf("vm: at %#x: %w", op.Addr, err)
+					err = m.errStop(code, idx, end, err)
+					return m.finish(), err
 				}
 				cpu.R[op.Dst] = v
 				m.charge(isa.KAlu, c)
@@ -218,9 +227,8 @@ blocks:
 			case pcode.XAluRI:
 				v, c, err := aluExec(op.Alu, cpu.R[op.Dst], op.Imm, prof, prof.Cost[isa.KAluImm])
 				if err != nil {
-					cpu.PC = op.Addr
-					m.rollback(code, idx+1, end)
-					return m.finish(), fmt.Errorf("vm: at %#x: %w", op.Addr, err)
+					err = m.errStop(code, idx, end, err)
+					return m.finish(), err
 				}
 				cpu.R[op.Dst] = v
 				m.charge(isa.KAluImm, c)
@@ -231,31 +239,32 @@ blocks:
 				idx++
 			case pcode.XPush:
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], cpu.R[op.Src]); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], cpu.R[op.Src]) {
+					if f := m.write64Cold(cpu.R[isa.RSP], cpu.R[op.Src]); f != nil {
+						m.memStop(code, idx, end, f)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPush, prof.Cost[isa.KPush])
 				idx++
 			case pcode.XPushImm:
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
+					if f := m.write64Cold(cpu.R[isa.RSP], op.Imm); f != nil {
+						m.memStop(code, idx, end, f)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
 				idx++
 			case pcode.XPop:
-				v, f := m.read64(cpu.R[isa.RSP])
-				if f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				v, ok := m.loadHit(cpu.R[isa.RSP])
+				if !ok {
+					var f *mem.Fault
+					if v, f = m.read64Cold(cpu.R[isa.RSP]); f != nil {
+						m.memStop(code, idx, end, f)
+						return m.finish(), nil
+					}
 				}
 				cpu.R[op.Dst] = v
 				cpu.R[isa.RSP] += 8
@@ -314,119 +323,14 @@ blocks:
 			case pcode.XNop:
 				m.charge(isa.KNop, prof.Cost[isa.KNop])
 				idx++
-			case pcode.XTrap:
-				kind := m.Proc.ClassifyFault(op.Addr, nil)
-				if kind == rt.TrapNone {
-					kind = rt.TrapProlog
-				}
-				ev := rt.TrapEvent{Kind: kind, PC: op.Addr}
-				m.Proc.RecordTrap(ev)
-				m.res.Trap = &ev
-				cpu.PC = op.Addr
-				m.rollback(code, idx+1, end)
-				return m.finish(), nil
-			case pcode.XVLoadAbs, pcode.XVLoadBase:
-				a := op.Imm
-				if op.Exec == pcode.XVLoadBase {
-					a = cpu.R[op.Base] + uint64(op.Disp)
-				}
-				lanes := int(op.Lanes)
-				faulted := false
-				for l := 0; l < lanes; l++ {
-					v, f := m.read64(a + uint64(l)*8)
-					if f != nil {
-						cpu.PC = op.Addr
-						m.stopFault(op.Addr, f)
-						m.rollback(code, idx+1, end)
-						faulted = true
-						break
-					}
-					cpu.V[op.VDst][l] = v
-				}
-				if faulted {
-					return m.finish(), nil
-				}
-				cost := prof.Cost[isa.KVLoad]
-				if lanes*8 > 16 {
-					cpu.DirtyUpper = true
-				}
-				if lanes > 4 {
-					cost *= 1.3
-				}
-				m.charge(isa.KVLoad, cost)
-				idx++
-			case pcode.XVStore, pcode.XVStoreA:
-				a := op.Target + uint64(op.Disp)
-				if op.Base != isa.NoGPR {
-					a = cpu.R[op.Base] + uint64(op.Disp)
-				}
-				if op.Exec == pcode.XVStoreA && a%16 != 0 {
-					cpu.PC = op.Addr
-					m.rollback(code, idx+1, end)
-					return m.finish(), fmt.Errorf("vm: at %#x: misaligned vector store to %#x", op.Addr, a)
-				}
-				lanes := int(op.Lanes)
-				faulted := false
-				for l := 0; l < lanes; l++ {
-					if f := m.write64(a+uint64(l)*8, cpu.V[op.VSrc][l]); f != nil {
-						cpu.PC = op.Addr
-						m.stopFault(op.Addr, f)
-						m.rollback(code, idx+1, end)
-						faulted = true
-						break
-					}
-				}
-				if faulted {
-					return m.finish(), nil
-				}
-				cost := prof.Cost[op.Kind]
-				if lanes*8 > 16 {
-					cpu.DirtyUpper = true
-				}
-				if lanes > 4 {
-					cost *= 1.3
-				}
-				m.charge(op.Kind, cost)
-				idx++
-			case pcode.XVZeroUpper:
-				cpu.DirtyUpper = false
-				for i := range cpu.V {
-					for l := 2; l < 8; l++ {
-						cpu.V[i][l] = 0
-					}
-				}
-				m.charge(isa.KVZeroUpper, prof.Cost[isa.KVZeroUpper])
-				idx++
-			case pcode.XSys:
-				if err := m.sys(op.Sys); err != nil {
-					cpu.PC = op.Addr
-					m.rollback(code, idx+1, end)
-					return m.finish(), fmt.Errorf("vm: at %#x: %w", op.Addr, err)
-				}
-				m.flushTLB()
-				m.charge(isa.KSys, prof.SysCost)
-				if m.res.Halted {
-					cpu.PC = op.Addr
-					return m.finish(), nil
-				}
-				idx++
-			case pcode.XHalt:
-				m.res.Halted = true
-				m.charge(isa.KHalt, prof.Cost[isa.KHalt])
-				cpu.PC = op.Addr
-				return m.finish(), nil
-			case pcode.XBadVec:
-				cpu.PC = op.Addr
-				m.rollback(code, idx+1, end)
-				return m.finish(), fmt.Errorf("vm: at %#x: bad vector width %d", op.Addr, op.Imm)
 
 			case pcode.XPushImm2:
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
+					if f := m.write64Cold(cpu.R[isa.RSP], op.Imm); f != nil {
+						m.memStop(code, idx, end, f)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
 				o2 := &ops[idx+1]
@@ -435,21 +339,21 @@ blocks:
 					return m.finish(), nil
 				}
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], o2.Imm); f != nil {
-					cpu.PC = o2.Addr
-					m.stopFault(o2.Addr, f)
-					m.rollback(code, idx+2, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], o2.Imm) {
+					if f := m.write64Cold(cpu.R[isa.RSP], o2.Imm); f != nil {
+						m.memStop(code, idx+1, end, f)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
 				idx += 2
 			case pcode.XPushImmCall:
 				cpu.R[isa.RSP] -= 8
-				if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-					cpu.PC = op.Addr
-					m.stopFault(op.Addr, f)
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
+				if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
+					if f := m.write64Cold(cpu.R[isa.RSP], op.Imm); f != nil {
+						m.memStop(code, idx, end, f)
+						return m.finish(), nil
+					}
 				}
 				m.charge(isa.KPushImm, prof.Cost[isa.KPushImm])
 				if !m.fetch2(&ops[idx+1]) {
@@ -475,70 +379,176 @@ blocks:
 				}
 				idx = t
 				continue blocks
-			case pcode.XVLoadStore:
-				lanes := int(op.Lanes)
-				faulted := false
-				for l := 0; l < lanes; l++ {
-					v, f := m.read64(op.Imm + uint64(l)*8)
-					if f != nil {
-						cpu.PC = op.Addr
-						m.stopFault(op.Addr, f)
-						m.rollback(code, idx+1, end)
-						faulted = true
-						break
-					}
-					cpu.V[op.VDst][l] = v
-				}
-				if faulted {
-					return m.finish(), nil
-				}
-				cost := prof.Cost[isa.KVLoad]
-				if lanes*8 > 16 {
-					cpu.DirtyUpper = true
-				}
-				if lanes > 4 {
-					cost *= 1.3
-				}
-				m.charge(isa.KVLoad, cost)
-				o2 := &ops[idx+1]
-				if !m.fetch2(o2) {
-					m.rollback(code, idx+1, end)
-					return m.finish(), nil
-				}
-				a2 := o2.Target + uint64(o2.Disp)
-				if o2.Base != isa.NoGPR {
-					a2 = cpu.R[o2.Base] + uint64(o2.Disp)
-				}
-				lanes2 := int(o2.Lanes)
-				for l := 0; l < lanes2; l++ {
-					if f := m.write64(a2+uint64(l)*8, cpu.V[o2.VSrc][l]); f != nil {
-						cpu.PC = o2.Addr
-						m.stopFault(o2.Addr, f)
-						m.rollback(code, idx+2, end)
-						faulted = true
-						break
-					}
-				}
-				if faulted {
-					return m.finish(), nil
-				}
-				cost = prof.Cost[isa.KVStore]
-				if lanes2*8 > 16 {
-					cpu.DirtyUpper = true
-				}
-				if lanes2 > 4 {
-					cost *= 1.3
-				}
-				m.charge(isa.KVStore, cost)
-				idx += 2
 
-			default: // XUnimpl (XFellOff cannot appear inside a block)
-				cpu.PC = op.Addr
-				m.rollback(code, idx+1, end)
-				return m.finish(), fmt.Errorf("vm: at %#x: unimplemented %v", op.Addr, op.Kind)
+			default: // vector ops and the rare stops (XFellOff cannot appear inside a block)
+				t, stop, err := m.fastRare(code, idx, end)
+				if stop {
+					return m.finish(), err
+				}
+				idx = t
 			}
 		}
 	}
+}
+
+// fastRare executes the op at idx for the cases runFast keeps out of its
+// own body, so that the TLB hit helpers still inline there: the vector
+// moves (whose lanes take the inlined hit path here) and the rare ops —
+// traps, system calls, halt and malformed ops. It returns the next op's
+// index, or stop=true with the PC, counters and rollback settled and err
+// the run's error.
+func (m *Machine) fastRare(code *pcode.Program, idx, end int) (next int, stop bool, err error) {
+	op := &code.Ops[idx]
+	cpu, prof := &m.CPU, m.Prof
+	switch op.Exec {
+	case pcode.XVLoadAbs, pcode.XVLoadBase, pcode.XVLoadStore:
+		a := op.Imm
+		if op.Exec == pcode.XVLoadBase {
+			a = cpu.R[op.Base] + uint64(op.Disp)
+		}
+		if f := m.vload(&cpu.V[op.VDst], a, int(op.Lanes)); f != nil {
+			m.memStop(code, idx, end, f)
+			return 0, true, nil
+		}
+		m.chargeVec(isa.KVLoad, int(op.Lanes))
+		if op.Exec != pcode.XVLoadStore {
+			return idx + 1, false, nil
+		}
+		o2 := &code.Ops[idx+1]
+		if !m.fetch2(o2) {
+			m.rollback(code, idx+1, end)
+			return 0, true, nil
+		}
+		if f := m.vstore(&cpu.V[o2.VSrc], vaddr(cpu, o2.Target, o2.Base, o2.Disp), int(o2.Lanes)); f != nil {
+			m.memStop(code, idx+1, end, f)
+			return 0, true, nil
+		}
+		m.chargeVec(isa.KVStore, int(o2.Lanes))
+		return idx + 2, false, nil
+	case pcode.XVStore, pcode.XVStoreA:
+		a := vaddr(cpu, op.Target, op.Base, op.Disp)
+		if op.Exec == pcode.XVStoreA && a%16 != 0 {
+			return 0, true, m.errStop(code, idx, end, fmt.Errorf("misaligned vector store to %#x", a))
+		}
+		if f := m.vstore(&cpu.V[op.VSrc], a, int(op.Lanes)); f != nil {
+			m.memStop(code, idx, end, f)
+			return 0, true, nil
+		}
+		m.chargeVec(op.Kind, int(op.Lanes))
+		return idx + 1, false, nil
+	case pcode.XVZeroUpper:
+		cpu.DirtyUpper = false
+		for i := range cpu.V {
+			for l := 2; l < 8; l++ {
+				cpu.V[i][l] = 0
+			}
+		}
+		m.charge(isa.KVZeroUpper, prof.Cost[isa.KVZeroUpper])
+		return idx + 1, false, nil
+	case pcode.XTrap:
+		kind := m.Proc.ClassifyFault(op.Addr, nil)
+		if kind == rt.TrapNone {
+			kind = rt.TrapProlog
+		}
+		ev := rt.TrapEvent{Kind: kind, PC: op.Addr}
+		m.Proc.RecordTrap(ev)
+		m.res.Trap = &ev
+		cpu.PC = op.Addr
+		m.rollback(code, idx+1, end)
+		return 0, true, nil
+	case pcode.XSys:
+		if err := m.sys(op.Sys); err != nil {
+			return 0, true, m.errStop(code, idx, end, err)
+		}
+		m.flushTLB()
+		m.charge(isa.KSys, prof.SysCost)
+		if m.res.Halted {
+			cpu.PC = op.Addr
+			return 0, true, nil
+		}
+		return idx + 1, false, nil
+	case pcode.XHalt:
+		m.res.Halted = true
+		m.charge(isa.KHalt, prof.Cost[isa.KHalt])
+		cpu.PC = op.Addr
+		return 0, true, nil
+	case pcode.XBadVec:
+		return 0, true, m.errStop(code, idx, end, fmt.Errorf("bad vector width %d", op.Imm))
+	}
+	// XUnimpl
+	return 0, true, m.errStop(code, idx, end, fmt.Errorf("unimplemented %v", op.Kind))
+}
+
+// vaddr is a vector op's effective address: absolute, or base-relative
+// when the op names a base register.
+func vaddr(cpu *CPU, target uint64, base isa.Reg, disp int64) uint64 {
+	if base != isa.NoGPR {
+		return cpu.R[base] + uint64(disp)
+	}
+	return target + uint64(disp)
+}
+
+// vload loads lanes words from a into v, lane by lane, stopping at the
+// first faulting lane.
+func (m *Machine) vload(v *[8]uint64, a uint64, lanes int) *mem.Fault {
+	for l := 0; l < lanes; l++ {
+		la := a + uint64(l)*8
+		w, ok := m.loadHit(la)
+		if !ok {
+			var f *mem.Fault
+			if w, f = m.read64Cold(la); f != nil {
+				return f
+			}
+		}
+		v[l] = w
+	}
+	return nil
+}
+
+// vstore stores lanes words of v to a, lane by lane, stopping at the first
+// faulting lane.
+func (m *Machine) vstore(v *[8]uint64, a uint64, lanes int) *mem.Fault {
+	for l := 0; l < lanes; l++ {
+		la := a + uint64(l)*8
+		if !m.storeHit(la, v[l]) {
+			if f := m.write64Cold(la, v[l]); f != nil {
+				return f
+			}
+		}
+	}
+	return nil
+}
+
+// chargeVec charges a completed vector move of the given width: moves wider
+// than 128 bits dirty the upper state, and 512-bit moves cost a little more
+// per op.
+func (m *Machine) chargeVec(k isa.Kind, lanes int) {
+	cost := m.Prof.Cost[k]
+	if lanes*8 > 16 {
+		m.CPU.DirtyUpper = true
+	}
+	if lanes > 4 {
+		cost *= 1.3
+	}
+	m.charge(k, cost)
+}
+
+// memStop stops the run on a data fault of the op at idx. The op retired
+// architecturally, so only its successors are rolled back.
+func (m *Machine) memStop(code *pcode.Program, idx, end int, f *mem.Fault) {
+	addr := code.Ops[idx].Addr
+	m.CPU.PC = addr
+	m.stopFault(addr, f)
+	m.rollback(code, idx+1, end)
+}
+
+// errStop stops the run on a VM error at the op at idx, with the same
+// rollback as memStop, and returns the error in the legacy loop's wording.
+func (m *Machine) errStop(code *pcode.Program, idx, end int, err error) error {
+	addr := code.Ops[idx].Addr
+	m.CPU.PC = addr
+	m.rollback(code, idx+1, end)
+	return fmt.Errorf("vm: at %#x: %w", addr, err)
 }
 
 // rollback undoes the block-entry charge for the unretired ops [from, end) —
@@ -599,11 +609,11 @@ func (m *Machine) fastCall(code *pcode.Program, idx, end int, indirect bool) (ne
 		tIdx = code.IndexOf(target)
 	}
 	cpu.R[isa.RSP] -= 8
-	if f := m.write64(cpu.R[isa.RSP], op.Imm); f != nil {
-		cpu.PC = op.Addr
-		m.stopFault(op.Addr, f)
-		m.rollback(code, idx+1, end)
-		return 0, true
+	if !m.storeHit(cpu.R[isa.RSP], op.Imm) {
+		if f := m.write64Cold(cpu.R[isa.RSP], op.Imm); f != nil {
+			m.memStop(code, idx, end, f)
+			return 0, true
+		}
 	}
 	if m.Proc.Cfg.ShadowStack {
 		m.shadow = append(m.shadow, op.Imm)
@@ -646,12 +656,13 @@ func (m *Machine) fastCall(code *pcode.Program, idx, end int, indirect bool) (ne
 func (m *Machine) fastRet(code *pcode.Program, idx, end int) (next int, stop bool) {
 	op := &code.Ops[idx]
 	cpu := &m.CPU
-	ra, f := m.read64(cpu.R[isa.RSP])
-	if f != nil {
-		cpu.PC = op.Addr
-		m.stopFault(op.Addr, f)
-		m.rollback(code, idx+1, end)
-		return 0, true
+	ra, ok := m.loadHit(cpu.R[isa.RSP])
+	if !ok {
+		var f *mem.Fault
+		if ra, f = m.read64Cold(cpu.R[isa.RSP]); f != nil {
+			m.memStop(code, idx, end, f)
+			return 0, true
+		}
 	}
 	cpu.R[isa.RSP] += 8
 	if m.Proc.Cfg.ShadowStack {

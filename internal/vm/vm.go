@@ -1,6 +1,7 @@
 package vm
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync/atomic"
@@ -79,12 +80,21 @@ type Result struct {
 // Seconds converts modeled cycles to wall-clock time on profile p.
 func (r *Result) Seconds(p *Profile) float64 { return r.Cycles / (p.GHz * 1e9) }
 
+// tlbEntry is one slot of the modeled 8-entry data TLB. rtag and wtag hold
+// the cached page number when the page's permission allows a read or a
+// write, and ^0 when it does not (or the slot is empty), so an allowed hit
+// is one compare. page is the page number held, ^0 when empty: the cold
+// path uses it to tell a permission fault on a resident page (a hit) from a
+// miss.
 type tlbEntry struct {
-	page  uint64
-	data  []byte
-	perm  mem.Perm
-	valid bool
+	rtag, wtag uint64
+	data       *[mem.PageSize]byte
+	page       uint64
+	perm       mem.Perm
 }
+
+// emptyTLBEntry is a slot that holds no page and matches no tag.
+var emptyTLBEntry = tlbEntry{rtag: ^uint64(0), wtag: ^uint64(0), page: ^uint64(0)}
 
 // Machine executes a loaded process under a machine profile.
 type Machine struct {
@@ -174,6 +184,7 @@ func New(proc *rt.Process, prof *Profile) *Machine {
 	}
 	m.CPU.PC = proc.Img.Entry
 	m.CPU.R[isa.RSP] = proc.InitialRSP
+	m.flushTLB()
 	m.Legacy = ForceLegacyDispatch.Load()
 	return m
 }
@@ -202,16 +213,115 @@ func (m *Machine) charge(k isa.Kind, cost float64) {
 	m.res.ClassCycles[k] += cost
 }
 
+// flushTLB empties every data-TLB slot. Both loops call it after each
+// system call, which may unmap or reprotect pages.
 func (m *Machine) flushTLB() {
 	for i := range m.tlb {
-		m.tlb[i].valid = false
+		m.tlb[i] = emptyTLBEntry
 	}
 }
 
-func (m *Machine) slab(addr uint64) *tlbEntry {
-	page := addr >> mem.PageShift
-	e := &m.tlb[page&7]
-	if e.valid && e.page == page {
+// loadHit is the data-TLB hit path of a load: when addr's page is cached
+// with read permission and the word does not straddle into the next page,
+// it counts a hit and returns the little-endian word at addr. One tag
+// compare and one 8-byte load, small enough to inline into the dispatch
+// loop; on false the caller takes read64Cold, which handles misses,
+// faults and straddles.
+func (m *Machine) loadHit(addr uint64) (uint64, bool) {
+	pg, off := addr>>mem.PageShift, addr&mem.PageMask
+	if e := &m.tlb[pg&7]; e.rtag == pg && off <= mem.PageSize-8 {
+		m.res.TLBHits++
+		return binary.LittleEndian.Uint64(e.data[off:]), true
+	}
+	return 0, false
+}
+
+// storeHit is the store twin of loadHit: on a hit it stores v
+// little-endian at addr; on false the caller takes write64Cold.
+func (m *Machine) storeHit(addr, v uint64) bool {
+	pg, off := addr>>mem.PageShift, addr&mem.PageMask
+	if e := &m.tlb[pg&7]; e.wtag == pg && off <= mem.PageSize-8 {
+		m.res.TLBHits++
+		binary.LittleEndian.PutUint64(e.data[off:], v)
+		return true
+	}
+	return false
+}
+
+// read64 loads the little-endian word at addr through the data TLB.
+func (m *Machine) read64(addr uint64) (uint64, *mem.Fault) {
+	if v, ok := m.loadHit(addr); ok {
+		return v, nil
+	}
+	return m.read64Cold(addr)
+}
+
+// write64 stores v little-endian at addr through the data TLB.
+func (m *Machine) write64(addr, v uint64) *mem.Fault {
+	if m.storeHit(addr, v) {
+		return nil
+	}
+	return m.write64Cold(addr, v)
+}
+
+// read64Cold is a load off the TLB hit path. A page-straddling load goes
+// through the address space and counts as neither TLB hit nor miss; a load
+// from a resident page whose permission forbids it faults and counts as a
+// hit.
+//
+//go:noinline
+func (m *Machine) read64Cold(addr uint64) (uint64, *mem.Fault) {
+	off := addr & mem.PageMask
+	if off > mem.PageSize-8 {
+		v, err := m.Proc.Space.Read64(addr)
+		if err != nil {
+			var f *mem.Fault
+			errors.As(err, &f)
+			return 0, f
+		}
+		return v, nil
+	}
+	e := m.lookup(addr)
+	if e == nil {
+		return 0, &mem.Fault{Addr: addr, Access: mem.AccessRead, Unmapped: true}
+	}
+	if e.perm&mem.PermRead == 0 {
+		return 0, &mem.Fault{Addr: addr, Access: mem.AccessRead, Perm: e.perm}
+	}
+	return binary.LittleEndian.Uint64(e.data[off:]), nil
+}
+
+// write64Cold is a store off the TLB hit path; same contract as read64Cold.
+//
+//go:noinline
+func (m *Machine) write64Cold(addr, v uint64) *mem.Fault {
+	off := addr & mem.PageMask
+	if off > mem.PageSize-8 {
+		if err := m.Proc.Space.Write64(addr, v); err != nil {
+			var f *mem.Fault
+			errors.As(err, &f)
+			return f
+		}
+		return nil
+	}
+	e := m.lookup(addr)
+	if e == nil {
+		return &mem.Fault{Addr: addr, Access: mem.AccessWrite, Unmapped: true}
+	}
+	if e.perm&mem.PermWrite == 0 {
+		return &mem.Fault{Addr: addr, Access: mem.AccessWrite, Perm: e.perm}
+	}
+	binary.LittleEndian.PutUint64(e.data[off:], v)
+	return nil
+}
+
+// lookup returns the TLB entry for addr's page: a hit when the page is
+// resident, otherwise a miss that refills the entry from the address space.
+// It returns nil, leaving the entry as it was, when the page is unmapped.
+func (m *Machine) lookup(addr uint64) *tlbEntry {
+	pg := addr >> mem.PageShift
+	e := &m.tlb[pg&7]
+	if e.page == pg {
 		m.res.TLBHits++
 		return e
 	}
@@ -220,52 +330,15 @@ func (m *Machine) slab(addr uint64) *tlbEntry {
 	if !ok {
 		return nil
 	}
-	e.page, e.data, e.perm, e.valid = page, data, perm, true
+	*e = emptyTLBEntry
+	e.data, e.page, e.perm = data, pg, perm
+	if perm&mem.PermRead != 0 {
+		e.rtag = pg
+	}
+	if perm&mem.PermWrite != 0 {
+		e.wtag = pg
+	}
 	return e
-}
-
-func (m *Machine) read64(addr uint64) (uint64, *mem.Fault) {
-	off := addr & mem.PageMask
-	if off <= mem.PageSize-8 {
-		if e := m.slab(addr); e != nil {
-			if e.perm&mem.PermRead == 0 {
-				return 0, &mem.Fault{Addr: addr, Access: mem.AccessRead, Perm: e.perm}
-			}
-			b := e.data[off : off+8]
-			return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-				uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56, nil
-		}
-		return 0, &mem.Fault{Addr: addr, Access: mem.AccessRead, Unmapped: true}
-	}
-	v, err := m.Proc.Space.Read64(addr)
-	if err != nil {
-		var f *mem.Fault
-		errors.As(err, &f)
-		return 0, f
-	}
-	return v, nil
-}
-
-func (m *Machine) write64(addr, v uint64) *mem.Fault {
-	off := addr & mem.PageMask
-	if off <= mem.PageSize-8 {
-		if e := m.slab(addr); e != nil {
-			if e.perm&mem.PermWrite == 0 {
-				return &mem.Fault{Addr: addr, Access: mem.AccessWrite, Perm: e.perm}
-			}
-			b := e.data[off : off+8]
-			b[0], b[1], b[2], b[3] = byte(v), byte(v>>8), byte(v>>16), byte(v>>24)
-			b[4], b[5], b[6], b[7] = byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56)
-			return nil
-		}
-		return &mem.Fault{Addr: addr, Access: mem.AccessWrite, Unmapped: true}
-	}
-	if err := m.Proc.Space.Write64(addr, v); err != nil {
-		var f *mem.Fault
-		errors.As(err, &f)
-		return f
-	}
-	return nil
 }
 
 // stopFault finalizes execution on a memory fault, classifying booby traps.
