@@ -7,11 +7,11 @@
 //
 // Usage:
 //
-//	r2cattack [-trials N] [-metrics-out FILE] [-trace FILE] [-trace-format jsonl|chrome]
-//	          [-listen ADDR] [-forensics] [-flight N] [-incidents-out FILE] [-alert-rules FILE]
-//	          [-sample-every N] [-timeseries-out FILE]
-//	          [-baseline FILE] [-compare FILE] [-compare-warn]
-//	          <table3|prob|sidechannel|ablations|aocr|all>
+//	r2cattack [flags] <table3|prob|sidechannel|sidechannel-hardened|bruteforce|ablations|aocr|mvee|all>
+//
+// `r2cattack -h` lists every flag. Beside its own -trials, -jobs, -overheads
+// and -forensics, r2cattack binds the sinks, forensics, engine-policy and
+// baseline groups of internal/harness.
 package main
 
 import (
@@ -20,17 +20,16 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strconv"
+	"strings"
 	"syscall"
-	"time"
 
 	"r2c/internal/attack"
 	"r2c/internal/bench"
 	"r2c/internal/defense"
 	"r2c/internal/exec"
+	"r2c/internal/harness"
 	"r2c/internal/incident"
 	"r2c/internal/mvee"
-	"r2c/internal/perf"
 	"r2c/internal/telemetry"
 	"r2c/internal/vm"
 )
@@ -39,61 +38,46 @@ import (
 // list for upfront validation.
 var allExperiments = []string{"table3", "prob", "sidechannel", "sidechannel-hardened", "bruteforce", "ablations", "aocr", "mvee"}
 
+// options are r2cattack's own flags; ops holds the shared ones.
+type options struct {
+	trials, jobs         int
+	overheads, forensics bool
+	ops                  harness.Flags
+}
+
+func newFlags() (*flag.FlagSet, *options) {
+	o := &options{}
+	fs := flag.NewFlagSet("r2cattack", flag.ExitOnError)
+	fs.IntVar(&o.trials, "trials", 10, "Monte-Carlo trials per defense/attack cell")
+	fs.IntVar(&o.jobs, "jobs", 0, "parallel trials/simulation cells (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
+	fs.BoolVar(&o.overheads, "overheads", false, "also measure Table 3 overhead column (slow)")
+	fs.BoolVar(&o.forensics, "forensics", false, "with table3: print the per-trial trap provenance table (which trap class caught each probe) and the incident correlation summary; implies -flight 64 unless set")
+	o.ops.BindSinks(fs)
+	o.ops.BindListen(fs)
+	o.ops.BindForensics(fs)
+	o.ops.BindSampleEvery(fs)
+	o.ops.BindEngine(fs)
+	o.ops.BindBaseline(fs)
+	fs.Usage = harness.Usage(fs, "<"+strings.Join(allExperiments, "|")+"|all>")
+	return fs, o
+}
+
 func main() {
-	trials := flag.Int("trials", 10, "Monte-Carlo trials per defense/attack cell")
-	jobs := flag.Int("jobs", 0, "parallel trials/simulation cells (0 = GOMAXPROCS, 1 = serial); results are identical at any width")
-	overheads := flag.Bool("overheads", false, "also measure Table 3 overhead column (slow)")
-	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (probe/detection/outcome counters) to FILE on exit")
-	traceOut := flag.String("trace", "", "write structured events (traps, faults, probes, outcomes) and spans to FILE")
-	traceFormat := flag.String("trace-format", telemetry.TraceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
-	listen := flag.String("listen", "", "serve the live ops endpoint (/metrics, /healthz, /progress, /debug/pprof) on ADDR, e.g. :8642")
-	forensics := flag.Bool("forensics", false, "with table3: print the per-trial trap provenance table (which trap class caught each probe) and the incident correlation summary")
-	flightCap := flag.Int("flight", 0, "per-process flight-recorder depth in events (0 = off; -forensics defaults to 64); recent control flow is attached to every incident record")
-	incidentsOut := flag.String("incidents-out", "", "write the incident timeline (trap/fault/divergence records with flight snapshots) as JSON to FILE on exit")
-	alertRules := flag.String("alert-rules", "", "evaluate the declarative alert rules in FILE against the metrics registry at exit (and live on /alerts); any firing rule fails the run")
-	sampleEvery := flag.Int("sample-every", 0, "time-series sampling stride in completed simulation cells (0 = every 16); only cell-executing paths sample (e.g. -overheads) — Monte-Carlo-only scenarios leave the rings empty")
-	timeseriesOut := flag.String("timeseries-out", "", "write the sampled time-series rings as JSON to FILE on exit")
-	cellTimeout := flag.Duration("cell-timeout", 0, "per-cell wall-clock watchdog deadline (0 = none); hung cells fail instead of hanging the campaign")
-	cellFuel := flag.Uint64("cell-fuel", 0, "per-cell VM instruction allowance (0 = the default budget)")
-	retries := flag.Int("retries", 0, "re-attempts per failed cell, each with a seed derived from the cell's content key")
-	retryBackoff := flag.Duration("retry-backoff", 0, "base delay before the first retry of a cell, doubling per attempt")
-	journalPath := flag.String("journal", "", "persist completed cell results to FILE (JSONL, keyed by build key + machine)")
-	resume := flag.Bool("resume", false, "replay cells already present in the journal instead of re-executing them")
-	faults := flag.String("faults", "", "fault-injection plan CELL[@ATTEMPT]:KIND,... with KIND one of build-fail, exec-fail, panic, stall, slow[=DURATION]; CELL may be * (testing aid)")
-	baselineOut := flag.String("baseline", "", "write the run's performance numbers as a baseline to FILE (BENCH_<experiment>.json)")
-	compare := flag.String("compare", "", "re-run the baseline in FILE (adopting its trials unless overridden) and exit nonzero on regression")
-	compareWarn := flag.Bool("compare-warn", false, "report -compare timing regressions without failing (CI warn-only mode)")
-	perfNoise := flag.Float64("perf-noise", 0, "-compare timing noise threshold in percent (0 = default 100)")
-	perfNoiseDet := flag.Float64("perf-noise-det", 0, "-compare deterministic drift threshold in percent (0 = default 1)")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: r2cattack [-trials N] [-metrics-out FILE] [-trace FILE] [-trace-format jsonl|chrome] [-listen ADDR] [-forensics] [-flight N] [-incidents-out FILE] [-alert-rules FILE] [-baseline FILE] [-compare FILE] [-compare-warn] <table3|prob|sidechannel|sidechannel-hardened|ablations|aocr|mvee|all>\n")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
+	fs, o := newFlags()
+	fs.Parse(os.Args[1:])
 
 	// With -compare the experiment and its trial count default to what the
 	// baseline recorded; explicit flags and a positional argument win.
-	setFlags := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { setFlags[f.Name] = true })
-	var oldBase *perf.Baseline
-	if *compare != "" {
-		var err error
-		oldBase, err = perf.Load(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-			os.Exit(1)
-		}
-		if v, ok := oldBase.Params["trials"]; ok && !setFlags["trials"] {
-			if n, err := strconv.Atoi(v); err == nil {
-				*trials = n
-			}
-		}
+	oldBase, err := o.ops.AdoptBaseline(fs, map[string]*int{"trials": &o.trials})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
+		os.Exit(1)
 	}
-	if flag.NArg() != 1 && !(flag.NArg() == 0 && oldBase != nil) {
-		flag.Usage()
+	if fs.NArg() != 1 && !(fs.NArg() == 0 && oldBase != nil) {
+		fs.Usage()
 		os.Exit(2)
 	}
-	want := flag.Arg(0)
+	want := fs.Arg(0)
 	if want == "" && oldBase != nil {
 		want = oldBase.Label
 	}
@@ -102,127 +86,46 @@ func main() {
 	if want == "all" {
 		names = allExperiments
 	} else if !known(want) {
-		fmt.Fprintf(os.Stderr, "r2cattack: unknown experiment %q\nknown experiments: all", want)
-		for _, n := range allExperiments {
-			fmt.Fprintf(os.Stderr, " %s", n)
-		}
-		fmt.Fprintf(os.Stderr, "\n")
+		fmt.Fprintf(os.Stderr, "r2cattack: unknown experiment %q\nknown experiments: all %s\n", want, strings.Join(allExperiments, " "))
 		os.Exit(2)
 	}
 
 	// -forensics implies a flight recorder: the provenance table is most
 	// useful with the control-flow tail that led to each detonation.
-	if *forensics && !setFlags["flight"] {
-		*flightCap = 64
+	flightSet := false
+	fs.Visit(func(f *flag.Flag) { flightSet = flightSet || f.Name == "flight" })
+	if o.forensics && !flightSet {
+		o.ops.FlightCap = 64
 	}
-	// Alert rules are parsed before any work runs so a malformed file fails
-	// fast, like an unknown experiment name.
-	var rules []telemetry.AlertRule
-	if *alertRules != "" {
-		var err2 error
-		rules, err2 = telemetry.LoadAlertRules(*alertRules)
-		if err2 != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err2)
-			os.Exit(2)
-		}
-	}
-
-	start := time.Now()
-	prov := perf.Collect()
-	sinks, err := telemetry.OpenSinksOpts(telemetry.SinkOptions{
-		MetricsOut:     *metricsOut,
-		TraceOut:       *traceOut,
-		TraceFormat:    *traceFormat,
-		FlightCap:      *flightCap,
-		EnsureRegistry: *listen != "" || *baselineOut != "" || *compare != "" || *alertRules != "",
-		Meta:           prov.Meta(),
-	})
+	run, err := o.ops.Open(harness.Config{Tool: "r2cattack", Jobs: o.jobs, Label: want, Incidents: o.forensics})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-		os.Exit(1)
+		os.Exit(run.Fail(err))
 	}
-	// One engine for the whole invocation; the attack package additionally
-	// routes every victim/reference build through its cache, which collapses
-	// the Monte-Carlo campaigns' repeated same-seed rebuilds (worker-pool
-	// restarts, persistent retries) to one compile+link each.
-	eng := exec.New(*jobs, sinks.Obs)
-	attack.UseBuildCache(eng.Cache)
-	// Time-series rings are cheap but not free; allocate them only when
-	// something will read them (a file, the ops endpoint, or alert rules).
-	var series *telemetry.SeriesSet
-	if *timeseriesOut != "" || *sampleEvery > 0 || *listen != "" || *alertRules != "" {
-		series = telemetry.NewSeriesSet(0, sinks.Obs)
-		eng.Series = series
-		eng.SampleEvery = *sampleEvery
-	}
-	// One incident log for the whole invocation: exec cells, attack
-	// scenarios and the MVEE demo all append to it, and the ops endpoint
-	// serves it live under /incidents.
-	var ilog *incident.Log
-	if *incidentsOut != "" || *forensics || *listen != "" || *alertRules != "" || *flightCap > 0 {
-		ilog = incident.NewLog()
-	}
-	eng.Incidents = ilog
-	attack.UseIncidentLog(ilog)
-	eng.CellTimeout = *cellTimeout
-	eng.CellFuel = *cellFuel
-	eng.Retries = *retries
-	eng.Backoff = *retryBackoff
-	plan, err := exec.ParseFaultPlan(*faults)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-		os.Exit(2)
-	}
-	eng.Faults = plan
-	if *resume && *journalPath == "" {
-		*journalPath = "r2c-run.journal"
-	}
-	if *journalPath != "" {
-		j, jerr := exec.OpenJournal(*journalPath)
-		if jerr != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: %v\n", jerr)
-			os.Exit(1)
-		}
-		if *resume && j.Len() > 0 {
-			fmt.Printf("[resuming: %d journaled cells in %s]\n", j.Len(), *journalPath)
-		}
-		eng.Journal = j
-	}
+	// The attack package routes every victim/reference build through the
+	// engine's cache, which collapses the Monte-Carlo campaigns' repeated
+	// same-seed rebuilds (worker-pool restarts, persistent retries) to one
+	// compile+link each. Exec cells, attack scenarios and the MVEE demo all
+	// append to the one incident log.
+	attack.UseBuildCache(run.Eng.Cache)
+	attack.UseIncidentLog(run.Incidents)
 	// Ctrl-C/SIGTERM cancels the campaign context: queued trials never
 	// start and in-flight ones run their watchdogs down.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	opt := bench.Options{Scale: 4, Runs: 1, Out: os.Stdout, Obs: sinks.Obs, Jobs: *jobs, Eng: eng, Ctx: ctx}
-	var ops *telemetry.OpsServer
-	if *listen != "" {
-		ops, err = telemetry.ServeOpsSources(*listen, telemetry.OpsSources{
-			Registry:  sinks.Obs.Reg(),
-			Progress:  func() any { return eng.Progress() },
-			Incidents: func() any { return ilog.Timeline() },
-			Series:    series,
-			Alerts: func() any {
-				return telemetry.EvalAlertsSeries(rules, sinks.Obs.Reg().Snapshot(), series.Snapshot(nil, 0), time.Since(start))
-			},
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("[ops endpoint listening on %s]\n", ops.URL())
-	}
+	opt := bench.Options{Scale: 4, Runs: 1, Out: os.Stdout, Obs: run.Obs, Jobs: o.jobs, Eng: run.Eng, Ctx: ctx}
 
-	run := func(name string) error {
-		defer sinks.Obs.Timer("attack.experiment", "name", name).Time()()
+	experiment := func(name string) error {
+		defer run.Obs.Timer("attack.experiment", "name", name).Time()()
 		switch name {
 		case "table3":
-			rows, err := bench.Table3(opt, *trials, *overheads)
-			if err == nil && *forensics {
+			rows, err := bench.Table3(opt, o.trials, o.overheads)
+			if err == nil && o.forensics {
 				bench.PrintForensics(opt, rows)
-				incident.WriteSummary(os.Stdout, incident.Correlate(ilog.Records()))
+				incident.WriteSummary(os.Stdout, incident.Correlate(run.Incidents.Records()))
 			}
 			return err
 		case "prob":
-			_, err := bench.Prob(opt, 6**trials)
+			_, err := bench.Prob(opt, 6*o.trials)
 			return err
 		case "sidechannel":
 			_, err := bench.SideChannel(opt)
@@ -230,11 +133,11 @@ func main() {
 		case "ablations":
 			return ablations()
 		case "aocr":
-			return aocrDemo(sinks.Obs)
+			return aocrDemo(run.Obs)
 		case "mvee":
-			return mveeDemo(ilog)
+			return mveeDemo(run.Incidents)
 		case "sidechannel-hardened":
-			return sideChannelHardened(sinks.Obs)
+			return sideChannelHardened(run.Obs)
 		case "bruteforce":
 			return bruteforce()
 		}
@@ -243,99 +146,19 @@ func main() {
 
 	exitCode := 0
 	for _, n := range names {
-		if err := run(n); err != nil {
+		if err := experiment(n); err != nil {
 			// Partial cell failures degrade to a summary plus a failing
 			// exit code; hard errors and cancellation abort as before.
-			if be, ok := exec.AsBatchError(err); ok && ctx.Err() == nil {
-				fmt.Fprintf(os.Stderr, "r2cattack %s: partial results: %s\n", n, be.Summary())
-				exitCode = 1
-				continue
+			be, ok := exec.AsBatchError(err)
+			if !ok || ctx.Err() != nil {
+				os.Exit(run.Fail(fmt.Errorf("%s: %w", n, err)))
 			}
-			ops.Close()
-			eng.Journal.Close()
-			sinks.Close()
-			fmt.Fprintf(os.Stderr, "r2cattack %s: %v\n", n, err)
-			os.Exit(1)
-		}
-	}
-	if *baselineOut != "" || oldBase != nil {
-		snap := sinks.Obs.Reg().Snapshot()
-		params := map[string]string{"trials": strconv.Itoa(*trials)}
-		fresh := perf.FromSnapshot(want, snap, prov, params)
-		if *baselineOut != "" {
-			if err := fresh.Save(*baselineOut); err != nil {
-				fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-				exitCode = 1
-			} else {
-				fmt.Printf("[baseline %q written to %s]\n", want, *baselineOut)
-			}
-		}
-		if oldBase != nil {
-			rep := perf.Judge(oldBase, fresh, perf.Thresholds{
-				DeterministicPct: *perfNoiseDet,
-				TimingPct:        *perfNoise,
-				TimingAdvisory:   *compareWarn,
-			})
-			rep.WriteTable(os.Stdout)
-			if rep.Failed() {
-				fmt.Fprintf(os.Stderr, "r2cattack: performance regressed vs %s\n", *compare)
-				exitCode = 1
-			}
-		}
-	}
-	if *incidentsOut != "" {
-		f, ferr := os.Create(*incidentsOut)
-		if ferr == nil {
-			ferr = ilog.WriteJSON(f)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: incidents: %v\n", ferr)
-			exitCode = 1
-		} else {
-			fmt.Printf("[%d incident records written to %s]\n", ilog.Len(), *incidentsOut)
-		}
-	}
-	if *timeseriesOut != "" {
-		f, ferr := os.Create(*timeseriesOut)
-		if ferr == nil {
-			ferr = series.WriteJSON(f)
-			if cerr := f.Close(); ferr == nil {
-				ferr = cerr
-			}
-		}
-		if ferr != nil {
-			fmt.Fprintf(os.Stderr, "r2cattack: timeseries: %v\n", ferr)
-			exitCode = 1
-		} else {
-			fmt.Printf("[time-series rings written to %s]\n", *timeseriesOut)
-		}
-	}
-	if len(rules) > 0 {
-		states := telemetry.EvalAlertsSeries(rules, sinks.Obs.Reg().Snapshot(), series.Snapshot(nil, 0), time.Since(start))
-		telemetry.WriteAlertTable(os.Stdout, states)
-		if n := telemetry.FiringCount(states); n > 0 {
-			fmt.Fprintf(os.Stderr, "r2cattack: %d alert rule(s) firing\n", n)
+			fmt.Fprintf(os.Stderr, "r2cattack %s: partial results: %s\n", n, be.Summary())
 			exitCode = 1
 		}
 	}
-	fmt.Println(eng.Footer("r2cattack"))
-	// Shut the ops server down before the sinks so no scrape can race the
-	// final metrics snapshot; Close drains in-flight requests and joins the
-	// serve goroutine.
-	if err := ops.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: ops shutdown: %v\n", err)
-	}
-	if err := eng.Journal.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-		exitCode = 1
-	}
-	if err := sinks.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2cattack: %v\n", err)
-		os.Exit(1)
-	}
+	exitCode = run.Close(exitCode)
+	fmt.Println(run.Eng.Footer("r2cattack"))
 	os.Exit(exitCode)
 }
 

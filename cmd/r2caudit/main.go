@@ -27,96 +27,80 @@ import (
 	"r2c/internal/attack"
 	"r2c/internal/audit"
 	"r2c/internal/defense"
-	"r2c/internal/exec"
-	"r2c/internal/perf"
-	"r2c/internal/telemetry"
+	"r2c/internal/harness"
 	"r2c/internal/tir"
 	"r2c/internal/workload"
 )
 
+// options are r2caudit's own flags; ops holds the shared ones.
+type options struct {
+	cfgName                          string
+	variants, scale, gadgetLen, jobs int
+	seed                             uint64
+	asJSON                           bool
+	ops                              harness.Flags
+}
+
+func newFlags() (*flag.FlagSet, *options) {
+	o := &options{}
+	fs := flag.NewFlagSet("r2caudit", flag.ExitOnError)
+	fs.StringVar(&o.cfgName, "config", "r2c", "defense configuration (baseline, r2c, push, avx, btdp, prolog, layout, oia, ...)")
+	fs.IntVar(&o.variants, "variants", 16, "number of re-diversified builds to compare (≥ 2)")
+	fs.Uint64Var(&o.seed, "seed", 1, "base seed; variant i builds with seed+i")
+	fs.IntVar(&o.scale, "scale", 8, "workload scale divisor")
+	fs.IntVar(&o.gadgetLen, "gadget-len", audit.DefaultGadgetLen, "instruction-window length of the gadget survivor analysis")
+	fs.IntVar(&o.jobs, "jobs", 0, "parallel builds (0 = GOMAXPROCS, 1 = serial); the report is identical at any width")
+	fs.BoolVar(&o.asJSON, "json", false, "emit the machine-readable JSON report instead of the text report")
+	o.ops.BindSinks(fs)
+	o.ops.BindListen(fs)
+	fs.Usage = harness.Usage(fs, "<workload|victim|FILE.tir>")
+	return fs, o
+}
+
 func main() {
-	cfgName := flag.String("config", "r2c", "defense configuration (baseline, r2c, push, avx, btdp, prolog, layout, oia, ...)")
-	variants := flag.Int("variants", 16, "number of re-diversified builds to compare (≥ 2)")
-	seed := flag.Uint64("seed", 1, "base seed; variant i builds with seed+i")
-	scale := flag.Int("scale", 8, "workload scale divisor")
-	gadgetLen := flag.Int("gadget-len", audit.DefaultGadgetLen, "instruction-window length of the gadget survivor analysis")
-	jobs := flag.Int("jobs", 0, "parallel builds (0 = GOMAXPROCS, 1 = serial); the report is identical at any width")
-	asJSON := flag.Bool("json", false, "emit the machine-readable JSON report instead of the text report")
-	metricsOut := flag.String("metrics-out", "", "write a JSON metrics snapshot (audit histograms and gauges) to FILE")
-	traceOut := flag.String("trace", "", "write structured events and pipeline spans to FILE")
-	traceFormat := flag.String("trace-format", telemetry.TraceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
-	listen := flag.String("listen", "", "serve the live ops endpoint (/metrics, /healthz, /progress, /debug/pprof) on ADDR, e.g. :8642")
-	flag.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: r2caudit [flags] <workload|victim|FILE.tir>")
-		flag.PrintDefaults()
-	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
+	fs, o := newFlags()
+	fs.Parse(os.Args[1:])
+	if fs.NArg() != 1 {
+		fs.Usage()
 		os.Exit(2)
 	}
 
-	cfg, ok := defense.ByName(*cfgName)
+	cfg, ok := defense.ByName(o.cfgName)
 	if !ok {
-		fatal(fmt.Errorf("unknown config %q", *cfgName))
+		fatal(fmt.Errorf("unknown config %q", o.cfgName))
 	}
-	mod, err := resolveModule(flag.Arg(0), *scale)
+	mod, err := resolveModule(fs.Arg(0), o.scale)
 	if err != nil {
 		fatal(err)
 	}
 
 	// The audit always publishes into a registry (its report aggregates
 	// registry histograms), so force one even with no file sink requested.
-	sinks, err := telemetry.OpenSinksOpts(telemetry.SinkOptions{
-		MetricsOut:     *metricsOut,
-		TraceOut:       *traceOut,
-		TraceFormat:    *traceFormat,
-		EnsureRegistry: true,
-		Meta:           perf.Collect().Meta(),
-	})
+	run, err := o.ops.Open(harness.Config{Tool: "r2caudit", Jobs: o.jobs, Registry: true})
 	if err != nil {
-		fatal(err)
-	}
-	eng := exec.New(*jobs, sinks.Obs)
-	var ops *telemetry.OpsServer
-	if *listen != "" {
-		ops, err = telemetry.ServeOpsSources(*listen, telemetry.OpsSources{
-			Registry: sinks.Obs.Reg(),
-			Progress: func() any { return eng.Progress() },
-		})
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "[ops endpoint listening on %s]\n", ops.URL())
+		os.Exit(run.Fail(err))
 	}
 	rep, err := audit.Run(audit.Options{
 		Module:    mod,
 		Cfg:       cfg,
-		Variants:  *variants,
-		BaseSeed:  *seed,
-		GadgetLen: *gadgetLen,
-		Eng:       eng,
-		Obs:       sinks.Obs,
+		Variants:  o.variants,
+		BaseSeed:  o.seed,
+		GadgetLen: o.gadgetLen,
+		Eng:       run.Eng,
+		Obs:       run.Obs,
 	})
 	if err != nil {
-		fatal(err)
+		os.Exit(run.Fail(err))
 	}
-
-	if *asJSON {
+	if o.asJSON {
 		err = rep.WriteJSON(os.Stdout)
 	} else {
 		err = rep.WriteText(os.Stdout)
 	}
 	if err != nil {
-		fatal(err)
+		os.Exit(run.Fail(err))
 	}
-	// Ops server first, so no scrape can race the final metrics snapshot.
-	if err := ops.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "r2caudit: ops shutdown: %v\n", err)
-	}
-	if err := sinks.Close(); err != nil {
-		fatal(err)
-	}
+	os.Exit(run.Close(0))
 }
 
 // resolveModule mirrors r2cc's workload resolution: a built-in workload

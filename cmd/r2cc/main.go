@@ -21,45 +21,57 @@ import (
 
 	"r2c/internal/attack"
 	"r2c/internal/defense"
-	"r2c/internal/perf"
+	"r2c/internal/harness"
 	"r2c/internal/sim"
-	"r2c/internal/telemetry"
 	"r2c/internal/tir"
 	"r2c/internal/vm"
 	"r2c/internal/workload"
 )
 
+// options are r2cc's own flags; ops holds the shared ones.
+type options struct {
+	cfgName, dump      string
+	seed               uint64
+	layout, stack, run bool
+	scale              int
+	ops                harness.Flags
+}
+
+func newFlags() (*flag.FlagSet, *options) {
+	o := &options{}
+	fs := flag.NewFlagSet("r2cc", flag.ExitOnError)
+	fs.StringVar(&o.cfgName, "config", "r2c", "defense configuration (baseline, r2c, push, avx, btdp, prolog, layout, oia, readactor, krx, ...)")
+	fs.Uint64Var(&o.seed, "seed", 1, "diversification seed")
+	fs.StringVar(&o.dump, "dump", "", "disassemble the named function")
+	fs.BoolVar(&o.layout, "layout", false, "print the text/data layout")
+	fs.BoolVar(&o.stack, "stack", false, "run to a pause point and dump the stack (the Figure 2 view)")
+	fs.BoolVar(&o.run, "run", false, "execute the program and report statistics (the telemetry and -profile flags apply to this run)")
+	fs.IntVar(&o.scale, "scale", 8, "workload scale divisor")
+	o.ops.BindSinks(fs)
+	o.ops.BindProfile(fs)
+	fs.Usage = harness.Usage(fs, "<workload|victim|FILE.tir>")
+	return fs, o
+}
+
 func main() {
-	cfgName := flag.String("config", "r2c", "defense configuration (baseline, r2c, push, avx, btdp, prolog, layout, oia, readactor, krx, ...)")
-	seed := flag.Uint64("seed", 1, "diversification seed")
-	dump := flag.String("dump", "", "disassemble the named function")
-	layout := flag.Bool("layout", false, "print the text/data layout")
-	stack := flag.Bool("stack", false, "run to a pause point and dump the stack (the Figure 2 view)")
-	runIt := flag.Bool("run", false, "execute the program and report statistics")
-	scale := flag.Int("scale", 8, "workload scale divisor")
-	metricsOut := flag.String("metrics-out", "", "with -run: write a JSON metrics snapshot to FILE")
-	traceOut := flag.String("trace", "", "write structured runtime events (and spans) to FILE")
-	traceFormat := flag.String("trace-format", telemetry.TraceJSONL, "trace file format: jsonl or chrome (chrome://tracing / Perfetto)")
-	profile := flag.Bool("profile", false, "with -run: print the per-function simulated-cycle profile")
-	top := flag.Int("top", 15, "rows in the -profile hot-function table")
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "usage: r2cc [flags] <workload|victim>")
-		flag.PrintDefaults()
+	fs, o := newFlags()
+	fs.Parse(os.Args[1:])
+	if fs.NArg() != 1 {
+		fs.Usage()
 		os.Exit(2)
 	}
 
-	cfg, ok := defense.ByName(*cfgName)
+	cfg, ok := defense.ByName(o.cfgName)
 	if !ok {
-		fatal(fmt.Errorf("unknown config %q", *cfgName))
+		fatal(fmt.Errorf("unknown config %q", o.cfgName))
 	}
 	var mod *tir.Module
-	if flag.Arg(0) == "victim" {
+	if fs.Arg(0) == "victim" {
 		mod = attack.Victim()
-	} else if b, ok := workload.ByName(flag.Arg(0)); ok {
-		mod = b.Build(*scale)
-	} else if strings.HasSuffix(flag.Arg(0), ".tir") {
-		src, err := os.ReadFile(flag.Arg(0))
+	} else if b, ok := workload.ByName(fs.Arg(0)); ok {
+		mod = b.Build(o.scale)
+	} else if strings.HasSuffix(fs.Arg(0), ".tir") {
+		src, err := os.ReadFile(fs.Arg(0))
 		if err != nil {
 			fatal(err)
 		}
@@ -68,26 +80,26 @@ func main() {
 			fatal(err)
 		}
 	} else {
-		fatal(fmt.Errorf("unknown workload %q (SPEC name, nginx, apache, victim, or a .tir file)", flag.Arg(0)))
+		fatal(fmt.Errorf("unknown workload %q (SPEC name, nginx, apache, victim, or a .tir file)", fs.Arg(0)))
 	}
 
 	// BuildImage is the same compile+link pipeline the experiment harnesses
 	// memoize in their build caches; going through it keeps the seed
 	// derivation in one place.
-	img, err := sim.BuildImage(mod, cfg, *seed)
+	img, err := sim.BuildImage(mod, cfg, o.seed)
 	if err != nil {
 		fatal(err)
 	}
 	prog := img.Prog
 	st := mod.Stats()
 	fmt.Printf("%s under %s (seed %d): %d funcs, %d TIR instrs, %d call sites, text %d KiB, data %d KiB\n",
-		mod.Name, cfg.Name, *seed, st.Funcs, st.Instrs, st.CallSites,
+		mod.Name, cfg.Name, o.seed, st.Funcs, st.Instrs, st.CallSites,
 		img.TextSize()/1024, img.DataSize()/1024)
 
-	if *dump != "" {
-		f := prog.Func(*dump)
+	if o.dump != "" {
+		f := prog.Func(o.dump)
 		if f == nil {
-			fatal(fmt.Errorf("no function %q", *dump))
+			fatal(fmt.Errorf("no function %q", o.dump))
 		}
 		fmt.Print(f.Disasm())
 		if len(f.CallSites) > 0 {
@@ -103,7 +115,7 @@ func main() {
 		}
 	}
 
-	if *layout {
+	if o.layout {
 		fmt.Println("text layout:")
 		for i, name := range img.FuncOrder {
 			pf := img.Funcs[name]
@@ -130,53 +142,46 @@ func main() {
 		}
 	}
 
-	if *stack {
-		if flag.Arg(0) != "victim" {
+	if o.stack {
+		if fs.Arg(0) != "victim" {
 			fatal(fmt.Errorf("-stack needs the victim workload"))
 		}
-		s, err := attack.NewScenario(cfg, *seed)
+		s, err := attack.NewScenario(cfg, o.seed)
 		if err != nil {
 			fatal(err)
 		}
 		dumpStack(s)
 	}
 
-	if *runIt {
-		sinks, err := telemetry.OpenSinksOpts(telemetry.SinkOptions{
-			MetricsOut:  *metricsOut,
-			TraceOut:    *traceOut,
-			TraceFormat: *traceFormat,
-			Profile:     *profile,
-			Meta:        perf.Collect().Meta(),
-		})
+	if o.run {
+		run, err := o.ops.Open(harness.Config{Tool: "r2cc"})
 		if err != nil {
-			fatal(err)
+			os.Exit(run.Fail(err))
 		}
-		proc, err := sim.NewProcessFromImage(img, *seed, sinks.Obs)
+		proc, err := sim.NewProcessFromImage(img, o.seed, run.Obs)
 		if err != nil {
-			fatal(err)
+			os.Exit(run.Fail(err))
 		}
 		mach := vm.New(proc, vm.EPYCRome())
-		if sinks.Obs.Profiling() {
+		if run.Obs.Profiling() {
 			mach.EnableProfiler()
 		}
 		res, err := mach.Run(sim.DefaultBudget)
-		if reg := sinks.Obs.Reg(); reg != nil {
+		if reg := run.Obs.Reg(); reg != nil {
 			mach.PublishMetrics(reg)
 		}
 		if err != nil {
-			sinks.Close()
-			fatal(err)
+			os.Exit(run.Fail(err))
 		}
 		fmt.Printf("executed %d instructions, %d calls, %.0f cycles (%.3f ms on %s), maxrss %d KiB\n",
 			res.Instructions, res.Calls, res.Cycles, res.Seconds(vm.EPYCRome())*1e3,
 			vm.EPYCRome().Name, res.MaxRSSBytes/1024)
 		fmt.Printf("output: %#x (halted=%v)\n", res.Output, res.Halted)
 		if p := mach.Profiler(); p != nil {
-			p.WriteTable(os.Stdout, *top)
+			p.WriteTable(os.Stdout, o.ops.Top)
 		}
-		if err := sinks.Close(); err != nil {
-			fatal(err)
+		if code := run.Close(0); code != 0 {
+			os.Exit(code)
 		}
 	}
 }

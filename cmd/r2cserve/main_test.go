@@ -1,0 +1,74 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"testing"
+)
+
+// TestMain lets a test run this binary's main: the test binary re-executes
+// itself with "-run-main" followed by the binary's arguments.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == "-run-main" {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// runMain runs main with args in a child process and returns its stdout
+// and exit code.
+func runMain(t *testing.T, args ...string) ([]byte, int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], append([]string{"-run-main"}, args...)...)
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var ee *exec.ExitError
+	if err != nil && !errors.As(err, &ee) {
+		t.Fatal(err)
+	}
+	t.Logf("stderr:\n%s", stderr.Bytes())
+	return stdout.Bytes(), cmd.ProcessState.ExitCode()
+}
+
+// mustParseJSON fails unless path holds exactly one JSON document.
+func mustParseJSON(t *testing.T, path string) {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !json.Valid(b) {
+		t.Errorf("%s is not a complete JSON document (%d bytes)", filepath.Base(path), len(b))
+	}
+}
+
+// With -json, stdout is the report alone: the artifact notices go to
+// stderr. A failing -incidents-out still leaves complete -metrics-out and
+// Chrome -trace files and exits 1.
+func TestServeStdoutAndTeardown(t *testing.T) {
+	dir := t.TempDir()
+	fleet := []string{"-requests", "200", "-mvee", "2", "-attack", "overwrite", "-attack-start", "50", "-attack-every", "25"}
+	out, code := runMain(t, append(fleet, "-json",
+		"-incidents-out", filepath.Join(dir, "inc.json"), "-timeseries-out", filepath.Join(dir, "ts.json"), "nginx")...)
+	if code != 0 {
+		t.Fatalf("exit code %d", code)
+	}
+	if !json.Valid(out) {
+		t.Errorf("-json stdout is not one JSON document:\n%s", out)
+	}
+
+	m, tr := filepath.Join(dir, "m.json"), filepath.Join(dir, "t.json")
+	if _, code := runMain(t, append(fleet, "-metrics-out", m, "-trace", tr, "-trace-format", "chrome",
+		"-incidents-out", filepath.Join(dir, "missing", "inc.json"), "nginx")...); code != 1 {
+		t.Errorf("failing -incidents-out: exit code %d, want 1", code)
+	}
+	mustParseJSON(t, m)
+	mustParseJSON(t, tr)
+}

@@ -8,11 +8,11 @@ import (
 	"sort"
 )
 
-// This file holds the flag-level plumbing shared by the cmd/ binaries: every
-// harness exposes the same -metrics-out FILE, -trace FILE, -trace-format,
-// -profile and -listen flags, and Sinks turns those values into an Observer
-// plus the matching teardown (write the JSON snapshot, flush and close the
-// trace file).
+// This file holds the file sinks behind the -metrics-out, -trace,
+// -trace-format and -profile flags: Sinks turns those values into an
+// Observer plus the matching teardown (write the JSON snapshot, flush and
+// close the trace file). internal/harness binds the flags and owns the
+// teardown order.
 
 // Trace formats accepted by the -trace-format flag.
 const (
@@ -61,25 +61,18 @@ type Sinks struct {
 	chrome  *ChromeTracer
 }
 
-// OpenSinks assembles an Observer from the standard flag values; see
-// OpenSinksOpts for the full set. Kept for callers without a trace-format or
-// listen flag.
-func OpenSinks(metricsOut, traceOut string, profile bool) (*Sinks, error) {
-	return OpenSinksOpts(SinkOptions{MetricsOut: metricsOut, TraceOut: traceOut, Profile: profile})
-}
-
 // OpenSinksOpts assembles an Observer from the standard flag values. Files
 // are opened eagerly, so a bad path fails before any experiment runs rather
 // than after minutes of work. The caller must Close the result.
 func OpenSinksOpts(o SinkOptions) (*Sinks, error) {
-	s := &Sinks{}
-	if o.MetricsOut == "" && o.TraceOut == "" && !o.Profile && !o.EnsureRegistry && o.FlightCap <= 0 {
-		return s, nil
-	}
 	switch o.TraceFormat {
 	case "", TraceJSONL, TraceChrome:
 	default:
 		return nil, fmt.Errorf("telemetry: unknown trace format %q (want %s or %s)", o.TraceFormat, TraceJSONL, TraceChrome)
+	}
+	s := &Sinks{}
+	if o.MetricsOut == "" && o.TraceOut == "" && !o.Profile && !o.EnsureRegistry && o.FlightCap <= 0 {
+		return s, nil
 	}
 	obs := &Observer{Registry: NewRegistry(), ProfileFuncs: o.Profile, FlightCap: o.FlightCap}
 	if o.MetricsOut != "" {

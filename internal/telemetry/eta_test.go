@@ -32,9 +32,9 @@ func TestFormatETA(t *testing.T) {
 // A progress source that leaks a NaN into the payload must yield a JSON
 // error response, not a broken half-written body.
 func TestProgressUnmarshalableSource(t *testing.T) {
-	s, err := ServeOps("127.0.0.1:0", NewRegistry(), func() any {
+	s, err := ServeOpsSources("127.0.0.1:0", OpsSources{Registry: NewRegistry(), Progress: func() any {
 		return map[string]float64{"eta_ms": math.NaN()}
-	})
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,9 +37,9 @@ func TestOpsServerEndpoints(t *testing.T) {
 	progress := func() any {
 		return map[string]any{"done": 3, "total": 10}
 	}
-	s, err := ServeOps("127.0.0.1:0", reg, progress)
+	s, err := ServeOpsSources("127.0.0.1:0", OpsSources{Registry: reg, Progress: progress})
 	if err != nil {
-		t.Fatalf("ServeOps: %v", err)
+		t.Fatalf("ServeOpsSources: %v", err)
 	}
 	defer s.Close()
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -102,9 +102,9 @@ func TestOpsServerEndpoints(t *testing.T) {
 }
 
 func TestOpsServerNilBackends(t *testing.T) {
-	s, err := ServeOps("127.0.0.1:0", nil, nil)
+	s, err := ServeOpsSources("127.0.0.1:0", OpsSources{})
 	if err != nil {
-		t.Fatalf("ServeOps: %v", err)
+		t.Fatalf("ServeOpsSources: %v", err)
 	}
 	defer s.Close()
 	client := &http.Client{Timeout: 5 * time.Second}
@@ -118,7 +118,7 @@ func TestOpsServerNilBackends(t *testing.T) {
 }
 
 func TestOpsServerBadAddressFailsEagerly(t *testing.T) {
-	if _, err := ServeOps("127.0.0.1:99999", nil, nil); err == nil {
+	if _, err := ServeOpsSources("127.0.0.1:99999", OpsSources{}); err == nil {
 		t.Fatal("expected eager listen error for bad address")
 	}
 }
@@ -130,9 +130,9 @@ func TestOpsServerBadAddressFailsEagerly(t *testing.T) {
 func TestOpsServerShutdownLeaksNoGoroutines(t *testing.T) {
 	// Warm up lazy runtime/net pools so they do not count against the
 	// baseline.
-	s0, err := ServeOps("127.0.0.1:0", nil, nil)
+	s0, err := ServeOpsSources("127.0.0.1:0", OpsSources{})
 	if err != nil {
-		t.Fatalf("ServeOps warmup: %v", err)
+		t.Fatalf("ServeOpsSources warmup: %v", err)
 	}
 	client := &http.Client{Timeout: 5 * time.Second}
 	opsGet(t, client, s0.URL()+"/healthz")
@@ -143,9 +143,9 @@ func TestOpsServerShutdownLeaksNoGoroutines(t *testing.T) {
 
 	baseline := runtime.NumGoroutine()
 	reg := NewRegistry()
-	s, err := ServeOps("127.0.0.1:0", reg, func() any { return map[string]int{"done": 1} })
+	s, err := ServeOpsSources("127.0.0.1:0", OpsSources{Registry: reg, Progress: func() any { return map[string]int{"done": 1} }})
 	if err != nil {
-		t.Fatalf("ServeOps: %v", err)
+		t.Fatalf("ServeOpsSources: %v", err)
 	}
 	for i := 0; i < 3; i++ {
 		opsGet(t, client, s.URL()+"/metrics")
